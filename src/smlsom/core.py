@@ -246,8 +246,3 @@ class Assignment:
     def members(self, node: int) -> np.ndarray:
         """Sample indices currently assigned to a node."""
         return np.flatnonzero(self.m == node)
-
-    def check_consistent(self, g: MapGraph):
-        live = set(g.nodes)
-        if not set(np.unique(self.m)) <= live:
-            raise ValueError("assignment refers to dead nodes")

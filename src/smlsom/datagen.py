@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import wishart
 
 from .errors import CalibrationError
 from .gaussian import GaussParams, gauss_loglik_rows
@@ -72,6 +71,8 @@ def random_mixture(
     def one_sigma():
         if spherical == "spherical":
             return rng.uniform() * np.eye(p)
+        from scipy.stats import wishart  # lazy: scipy.stats dominates the import time of smlsom
+
         return wishart.rvs(df=p + 1, scale=np.eye(p), random_state=rng).reshape(p, p)
 
     if homogeneity == "homogeneous":

@@ -3,10 +3,19 @@
 Log-likelihoods go through a Cholesky factorization; covariances that fail
 to factorize get an escalating diagonal jitter before a singular-model
 error is raised.
+
+The training state does not factorize on every step. A moment step moves a
+covariance by a scaled rank-one term, Sigma' = (1-a)Sigma + a(1-a)dd^T, so
+the precision follows by Sherman-Morrison and the log-determinant by the
+matrix determinant lemma, both from the quadratic form d^T P d that the
+winner search has already computed. To bound round-off drift a node is
+re-factorized after every ``_REFRESH_EVERY`` rank-one updates, and at once
+when the lemma's factor 1 + a d^T P d is not finite and positive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +26,7 @@ from .errors import SingularModelError
 _LOG_2PI = np.log(2.0 * np.pi)
 _JITTER_STEPS = (1e-10, 1e-8, 1e-6)
 _SYM_TOL = 1e-10
+_REFRESH_EVERY = 50  # rank-one updates of a training-state node between factorizations
 
 
 def _factorize(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,20 +98,18 @@ def gauss_loglik_rows(X: np.ndarray, theta: GaussParams) -> np.ndarray:
     return -0.5 * (theta.p * _LOG_2PI + theta.log_det + quad)
 
 
-def _moment_step(mu, sigma, x, a):
-    """One stochastic moment step; the deviation uses the pre-update mean."""
-    d = x - mu
-    new_mu = mu + a * d
-    new_sigma = sigma + a * ((1.0 - a) * np.outer(d, d) - sigma)
-    return new_mu, 0.5 * (new_sigma + new_sigma.T)
+def _moment_step(mu, sigma, d, a):
+    """One stochastic moment step from the deviation d = x - mu of the
+    pre-update mean. A symmetric sigma stays bitwise symmetric."""
+    return mu + a * d, sigma + a * ((1.0 - a) * (d[:, None] * d) - sigma)
 
 
 def gauss_update(theta: GaussParams, x: np.ndarray, a: float) -> GaussParams:
     """Stochastic method-of-moments update with effective rate a."""
     if not 0.0 <= a < 1.0:
         raise ValueError("effective rate must be in [0, 1)")
-    mu, sigma = _moment_step(theta.mu, theta.sigma, np.asarray(x, dtype=float), a)
-    return GaussParams(mu, sigma)
+    d = np.asarray(x, dtype=float) - theta.mu
+    return GaussParams(*_moment_step(theta.mu, theta.sigma, d, a))
 
 
 def gauss_batch(samples: np.ndarray) -> GaussParams:
@@ -124,8 +132,15 @@ def gauss_df(p: int) -> int:
 class _GaussTrainState:
     """Stacked node parameters for the training hot loop.
 
-    Keeps per-node precision matrices and log determinants refreshed so a
-    winner search is a single einsum over all live nodes.
+    Keeps per-node precision matrices and log determinants current so a
+    winner search is a single einsum over all live nodes. ``loglik_all``
+    keeps the deviations and quadratic forms it computes; ``update`` reuses
+    them when handed the row last scored (the same object, unmodified) and
+    rescores otherwise. An update applies the moment step to the mean and
+    covariance, then moves the precision by Sherman-Morrison and the log
+    determinant by the determinant lemma. After ``_REFRESH_EVERY`` such
+    rank-one updates of a node, or when the lemma factor is not finite and
+    positive, the update re-factorizes that node's covariance instead.
     """
 
     def __init__(self, params_list: list[GaussParams], update_sigma: bool = True):
@@ -140,22 +155,42 @@ class _GaussTrainState:
             self.precs[k] = t.precision
             self.logdets[k] = t.log_det
         self._const = -0.5 * p * _LOG_2PI
+        self._eye = np.eye(p)
+        self._age = [0] * M  # rank-one updates since each node's last factorization
+        self._scored = self._dev = self._quad = None  # last loglik_all row and its terms
+        self._moved: set[int] = set()  # nodes updated since that call
 
     def loglik_all(self, x: np.ndarray) -> np.ndarray:
         D = x - self.mus
         quad = np.einsum("mi,mij,mj->m", D, self.precs, D)
+        self._scored, self._dev, self._quad = x, D, quad
+        self._moved = set()
         return self._const - 0.5 * (self.logdets + quad)
 
     def update(self, k: int, x: np.ndarray, a: float):
-        if self.update_sigma:
-            mu, sigma = _moment_step(self.mus[k], self.sigmas[k], x, a)
-            sigma, L = _factorize(sigma)
-            self.mus[k] = mu
-            self.sigmas[k] = sigma
-            self.precs[k] = np.linalg.inv(sigma)
-            self.logdets[k] = 2.0 * np.sum(np.log(np.diag(L)))
+        if x is not self._scored or k in self._moved:
+            self.loglik_all(x)
+        self._moved.add(k)
+        d = self._dev[k]
+        if not self.update_sigma:
+            self.mus[k] = self.mus[k] + a * d
+            return
+        self.mus[k], self.sigmas[k] = _moment_step(self.mus[k], self.sigmas[k], d, a)
+        g = 1.0 + a * self._quad[k]
+        if self._age[k] < _REFRESH_EVERY and 0.0 < g < math.inf:
+            pd = self.precs[k] @ d
+            self.precs[k] = (self.precs[k] - (a / g) * (pd[:, None] * pd)) / (1.0 - a)
+            self.logdets[k] += self.mus.shape[1] * math.log1p(-a) + math.log(g)
+            self._age[k] += 1
         else:
-            self.mus[k] = self.mus[k] + a * (x - self.mus[k])
+            self._refactor(k)
+
+    def _refactor(self, k: int):
+        sigma, L = _factorize(self.sigmas[k])
+        self.sigmas[k] = sigma
+        self.precs[k] = cho_solve((L, True), self._eye, check_finite=False)
+        self.logdets[k] = 2.0 * np.sum(np.log(np.diag(L)))
+        self._age[k] = 0
 
     def export(self) -> list[GaussParams]:
         return [GaussParams(self.mus[k], self.sigmas[k]) for k in range(len(self.mus))]

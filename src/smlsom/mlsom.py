@@ -50,7 +50,6 @@ def mlsom_train(
     if set(ids) != set(graph.nodes):
         raise ValueError("params and graph disagree on live nodes")
     X = data.values
-    n = data.n
 
     state = family.make_state([params[m] for m in ids])
     index_of = {m: k for k, m in enumerate(ids)}
@@ -61,13 +60,16 @@ def mlsom_train(
         for m in ids
     }
 
-    for tau in range(1, sched.tau_max + 1):
-        x = X[rng.integers(n)]
-        c = ids[int(np.argmax(state.loglik_all(x)))]
+    # one vector draw gives the same stream as tau_max scalar draws
+    draws = rng.integers(data.n, size=sched.tau_max)
+    taus = range(1, sched.tau_max + 1)
+    alphas = [schedule_alpha(sched, tau) for tau in taus]
+    radii = [schedule_radius(sched, tau) for tau in taus]
+    for i, alpha, radius in zip(draws, alphas, radii):
+        x = X[i]
+        c = ids[int(state.loglik_all(x).argmax())]
         if winner_log is not None:
             winner_log.append(c)
-        alpha = schedule_alpha(sched, tau)
-        radius = schedule_radius(sched, tau)
         for d, k in neigh[c]:
             if d > radius:
                 break

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -157,3 +162,14 @@ class TestSampleMixture:
         X2, l2 = sample_mixture(spec, 100, np.random.default_rng(15))
         np.testing.assert_array_equal(X1, X2)
         np.testing.assert_array_equal(l1, l2)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats dominates import time; only the Wishart draw needs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, smlsom; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smlsom import GaussParams, gauss_batch, gauss_df, gauss_loglik, gauss_update
-from smlsom.gaussian import gauss_loglik_rows
+from smlsom import GaussianFamily, GaussParams, gauss_batch, gauss_df, gauss_loglik, gauss_update
+from smlsom.gaussian import _REFRESH_EVERY, gauss_loglik_rows
 
 from oracles import dense_gauss_loglik, random_pd_matrix
 
@@ -102,6 +102,58 @@ class TestUpdate:
             theta = gauss_update(theta, x, 1.0 / (t + 1.0))
         np.testing.assert_allclose(theta.mu, true_mu, atol=0.15)
         np.testing.assert_allclose(theta.sigma, true_sigma, atol=0.25)
+
+
+class TestTrainState:
+    """The stacked state the training loop updates: rank-one precision and
+    log-det steps with periodic re-factorization."""
+
+    @staticmethod
+    def make(rng, p, M=3):
+        return GaussianFamily().make_state(
+            [GaussParams(rng.normal(size=p), random_pd_matrix(rng, p)) for _ in range(M)]
+        )
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_tracks_factorized_values_cached_and_uncached(self, p):
+        rng = np.random.default_rng(p)
+        cached, uncached = self.make(rng, p), self.make(np.random.default_rng(p), p)
+        # node 0 is updated twice per row, so it must be rescored in between,
+        # and goes through more than two refreshes
+        for _ in range(_REFRESH_EVERY + 1):
+            x = rng.normal(size=p, scale=2.0)
+            a = rng.uniform(0.0, 0.5)
+            cached.loglik_all(x)
+            for k in (0, 2, 0):
+                cached.update(k, x, a)
+                uncached.update(k, x.copy(), a)
+            for name in ("mus", "sigmas", "precs", "logdets"):
+                np.testing.assert_array_equal(getattr(cached, name), getattr(uncached, name))
+            np.testing.assert_array_equal(cached.sigmas, cached.sigmas.transpose(0, 2, 1))
+            inv = np.linalg.inv(cached.sigmas)
+            scale = np.abs(inv).max(axis=(1, 2))  # relative to each matrix, not entry
+            assert np.all(np.abs(cached.precs - inv).max(axis=(1, 2)) <= 1e-9 * scale)
+            sign, logdet = np.linalg.slogdet(cached.sigmas)
+            assert np.all(sign == 1)
+            np.testing.assert_allclose(cached.logdets, logdet, rtol=0, atol=1e-9)
+
+    def test_refresh_on_cholesky_accepted_singular_covariance(self):
+        # a covariance captured from a collapsing node: Cholesky accepts it,
+        # while an LU inverse reports it singular
+        sigma = np.array(
+            [
+                [0.08937363124512407, -0.0727293143510449],
+                [-0.0727293143510449, 0.059184718045812726],
+            ]
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(sigma)
+        state = GaussianFamily().make_state([GaussParams([0.3, -0.2], sigma)])
+        x = np.array([0.5, 0.1])
+        for _ in range(_REFRESH_EVERY + 1):  # the last update re-factorizes
+            state.update(0, x, 0.0)
+        np.testing.assert_array_equal(state.sigmas[0], sigma)
+        assert np.all(np.isfinite(state.precs)) and np.all(np.isfinite(state.logdets))
 
 
 class TestBatch:
