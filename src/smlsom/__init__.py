@@ -46,7 +46,7 @@ from .io import (
     write_dataset,
 )
 from .metrics import ari, nmi
-from .mlsom import classify, find_winner, mlsom_train
+from .mlsom import classify, find_winner, loglik_matrix, mlsom_train
 from .multinomial import (
     MultinomialFamily,
     MultinomParams,

@@ -10,7 +10,7 @@ import numpy as np
 from .core import Assignment, Dataset, MapGraph, Schedule, lattice_graph
 from .errors import DataError
 from .gaussian import GaussianFamily, GaussParams
-from .mlsom import classify, mlsom_train
+from .mlsom import classify, loglik_matrix, ml_winners, mlsom_train
 from .multinomial import MultinomialFamily, MultinomParams
 from .structure import MdlScore, cut_weak_links, mdl_score, try_delete_node
 
@@ -145,14 +145,13 @@ def smlsom_fit(data: Dataset, config: FitConfig, family=None) -> FitResult:
     sched = config.schedule(data.n)
 
     trace: list[CycleRecord] = []
-    assignment = None
-    score = None
     max_cycles = (config.rows * config.cols) ** 2
     for cycle in range(1, max_cycles + 1):
         params = mlsom_train(data, graph, params, sched, rng, family)
-        assignment = classify(data, params, family)
-        removed = cut_weak_links(graph, data, assignment, params, config.beta, family)
-        result = try_delete_node(data, graph, assignment, params, family)
+        ll = loglik_matrix(data, params, family)
+        assignment = Assignment(ml_winners(ll, sorted(params)))
+        removed = cut_weak_links(graph, data, assignment, params, config.beta, family, ll)
+        result = try_delete_node(data, graph, assignment, params, family, ll)
         graph, params, assignment, score = (
             result.graph,
             result.params,
@@ -171,11 +170,11 @@ def smlsom_fit(data: Dataset, config: FitConfig, family=None) -> FitResult:
             )
         )
         if not removed and result.deleted is None:
-            break
-
-    final_assignment = classify(data, params, family)
-    final_score = mdl_score(data, final_assignment, params, family)
-    return FitResult(graph, params, final_assignment, final_score, trace, config)
+            break  # converged: this cycle's assignment and score describe the final map
+    else:
+        assignment = classify(data, params, family)
+        score = mdl_score(data, assignment, params, family)
+    return FitResult(graph, params, assignment, score, trace, config)
 
 
 def smlsom_fit_restarts(

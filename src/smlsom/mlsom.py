@@ -21,14 +21,28 @@ def find_winner(x: np.ndarray, params: dict, family) -> int:
     return ids[int(np.argmax(ll))]
 
 
-def classify(data: Dataset, params: dict, family) -> Assignment:
-    """Assign every sample to its maximum-likelihood node (deterministic)."""
+def loglik_matrix(data: Dataset, params: dict, family) -> np.ndarray:
+    """M x n matrix of every sample's log-likelihood under every live node.
+
+    Row k belongs to the k-th smallest live id (``sorted(params)[k]``). The
+    matrix describes ``params`` as given: it is valid until the parameters
+    change, that is for one cycle's classification, link cutting and
+    deletion scoring, all of which read it instead of rescoring.
+    """
     if not params:
         raise ValueError("empty node table")
-    ids = sorted(params)
-    ll = np.stack([family.loglik_rows(data.values, params[m]) for m in ids])
-    winners = np.argmax(ll, axis=0)  # first max = smallest id
-    return Assignment(np.asarray(ids)[winners])
+    return np.stack([family.loglik_rows(data.values, params[m]) for m in sorted(params)])
+
+
+def ml_winners(ll: np.ndarray, ids) -> np.ndarray:
+    """Per column of ``ll`` (rows in ``ids`` order), the id of the row with
+    the highest log-likelihood; ties go to the earlier row."""
+    return np.asarray(ids)[np.argmax(ll, axis=0)]
+
+
+def classify(data: Dataset, params: dict, family) -> Assignment:
+    """Assign every sample to its maximum-likelihood node (deterministic)."""
+    return Assignment(ml_winners(loglik_matrix(data, params, family), sorted(params)))
 
 
 def mlsom_train(

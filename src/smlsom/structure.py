@@ -1,5 +1,16 @@
 """Map-structure updates: KL-based link cutting, the classification MDL
-score, and the node-deletion procedure with clique edge restoration."""
+score, and the node-deletion procedure with clique edge restoration.
+
+Link cutting and node deletion read the cycle's log-likelihood matrix
+(``mlsom.loglik_matrix``: row k holds the k-th smallest live id) rather
+than rescoring every sample. Node deletion scores each candidate by
+refitting only the survivors that receive the deleted node's samples; every
+other survivor keeps the same members for every candidate, so its batch fit
+and its share of the negative log-likelihood are computed once per call and
+reused. The reused values are the very floats a full refit would give, and
+they are summed in the same order, so each candidate's MDL is bitwise the
+one ``mdl_score`` would report for it.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Assignment, Dataset, MapGraph
+from .mlsom import ml_winners
 
 _H_FLOOR = 1e-12
 
@@ -51,12 +63,14 @@ def cut_weak_links(
     params: dict,
     beta: float,
     family,
+    ll: np.ndarray,
 ) -> set[tuple[int, int]]:
     """Remove every edge whose weakness exceeds beta times the worst per-node
     average log-likelihood; returns the removed edges.
 
-    beta = inf is a never-cut sentinel. Edges incident to an empty node are
-    always cut: an unsupported node carries no neighborhood evidence.
+    ``ll`` is ``loglik_matrix(data, params, family)``. beta = inf is a
+    never-cut sentinel. Edges incident to an empty node are always cut: an
+    unsupported node carries no neighborhood evidence.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -73,15 +87,15 @@ def cut_weak_links(
             graph.remove_edge(m, l)
         return removed
 
-    ll = {m: family.loglik_rows(data.values, params[m]) for m in ids}
-    avg_ll = {m: float(ll[m][members[m]].mean()) for m in ids if members[m].size > 0}
+    row = dict(zip(ids, ll))
+    avg_ll = {m: float(row[m][members[m]].mean()) for m in ids if members[m].size > 0}
     if avg_ll:
         h = max(max(-v for v in avg_ll.values()), _H_FLOOR)
         for m, l in sorted(graph.edges):
             if (m, l) in removed:
                 continue
-            d_ml = float(np.mean(ll[m][members[m]] - ll[l][members[m]]))
-            d_lm = float(np.mean(ll[l][members[l]] - ll[m][members[l]]))
+            d_ml = float(np.mean(row[m][members[m]] - row[l][members[m]]))
+            d_lm = float(np.mean(row[l][members[l]] - row[m][members[l]]))
             if 0.5 * d_ml + 0.5 * d_lm > beta * h:
                 removed.add((m, l))
     for m, l in removed:
@@ -89,20 +103,23 @@ def cut_weak_links(
     return removed
 
 
+def _mdl(neg_loglik: float, M: int, data: Dataset, family) -> MdlScore:
+    """Add the parameter and index code lengths of an M-node map."""
+    complexity = 0.5 * M * family.df(data.p) * math.log(data.n)
+    indexing = data.n * math.log(M)
+    return MdlScore(neg_loglik, complexity, indexing)
+
+
 def mdl_score(data: Dataset, assignment: Assignment, params: dict, family) -> MdlScore:
     """Classification MDL: data code length + parameter code length +
     assignment index code length, natural log throughout."""
     ids = sorted(params)
-    M = len(ids)
-    n = data.n
     neg = 0.0
     for m in ids:
         idx = assignment.members(m)
         if idx.size:
             neg -= float(family.loglik_rows(data.values[idx], params[m]).sum())
-    complexity = 0.5 * M * family.df(data.p) * math.log(n)
-    indexing = n * math.log(M)
-    return MdlScore(neg, complexity, indexing)
+    return _mdl(neg, len(ids), data, family)
 
 
 @dataclass
@@ -121,16 +138,27 @@ def try_delete_node(
     assignment: Assignment,
     params: dict,
     family,
+    ll: np.ndarray,
 ) -> DeletionResult:
     """Evaluate removing each node in turn and adopt the best candidate iff it
-    strictly improves the MDL total.
+    strictly improves the MDL total; the first strict minimum wins a tie.
 
-    For a candidate deletion, the deleted node's samples are reclassified by
-    maximum likelihood among the survivors, every survivor is re-estimated by
-    the batch method-of-moments fit on its updated sample set (a survivor
-    left with no samples keeps its previous parameters), and the resulting
-    map is scored. On adoption the deleted node's former neighbors are wired
-    into a clique so no node is left isolated.
+    ``ll`` is ``loglik_matrix(data, params, family)``. For a candidate
+    deletion, the deleted node's samples are reclassified by maximum
+    likelihood among the survivors, every survivor is re-estimated by the
+    batch method-of-moments fit on its updated sample set (a survivor left
+    with no samples keeps its previous parameters), and the resulting map is
+    scored. On adoption the deleted node's former neighbors are wired into a
+    clique so no node is left isolated.
+
+    Only the *receivers*, the survivors that win some of the deleted node's
+    samples, change from one candidate to the next. They are refitted and
+    rescored on their new member set in ascending sample order, the order
+    ``mdl_score`` uses. Every other survivor reuses a per-call cache of its
+    batch fit and negative log-likelihood on its current members. The parts
+    are summed in ascending id order, as ``mdl_score`` sums them, so each
+    candidate's score is bitwise the one a full refit and ``mdl_score``
+    would give.
     """
     current = mdl_score(data, assignment, params, family)
     ids = sorted(params)
@@ -138,35 +166,51 @@ def try_delete_node(
         return DeletionResult(graph, params, assignment, current, current, None)
 
     X = data.values
-    ll = np.stack([family.loglik_rows(X, params[m]) for m in ids])
 
-    best = None  # (total, candidate id, params, assignment, score)
+    def fit(l, idx):
+        """Batch fit of node l on rows idx and their neg-loglik part (with
+        no rows the node keeps its parameters and adds 0.0, which leaves the
+        running total bitwise unchanged, as skipping it does)."""
+        if not idx.size:
+            return params[l], 0.0
+        theta = family.batch(X[idx])
+        return theta, float(family.loglik_rows(X[idx], theta).sum())
+
+    members = {l: assignment.members(l) for l in ids}
+    # survivor id -> fit on its current members; filled on first use, so a
+    # node that receives samples under every candidate is never fitted alone
+    cached = {}
+    best = None  # (total, candidate id, params, assignment ids, score)
     for pos, m in enumerate(ids):
-        moved = assignment.members(m)
+        moved = members[m]
         new_m = assignment.m.copy()
-        if moved.size:
-            sub = np.delete(ll[:, moved], pos, axis=0)
-            survivors = np.delete(np.asarray(ids), pos)
-            new_m[moved] = survivors[np.argmax(sub, axis=0)]
-        cand_assign = Assignment(new_m)
+        new_m[moved] = ml_winners(np.delete(ll[:, moved], pos, axis=0), np.delete(ids, pos))
+        receivers = set(new_m[moved].tolist())
         cand_params = {}
+        neg = 0.0
         for l in ids:
             if l == m:
                 continue
-            idx = cand_assign.members(l)
-            cand_params[l] = family.batch(X[idx]) if idx.size else params[l]
-        score = mdl_score(data, cand_assign, cand_params, family)
+            if l in receivers:
+                theta, part = fit(l, np.flatnonzero(new_m == l))
+            else:
+                if l not in cached:
+                    cached[l] = fit(l, members[l])
+                theta, part = cached[l]
+            cand_params[l] = theta
+            neg -= part
+        score = _mdl(neg, len(cand_params), data, family)
         if best is None or score.total < best[0]:
-            best = (score.total, m, cand_params, cand_assign, score)
+            best = (score.total, m, cand_params, new_m, score)
 
     if best[0] >= current.total:
         return DeletionResult(graph, params, assignment, current, current, None)
 
-    _, m, cand_params, cand_assign, score = best
+    _, m, cand_params, new_m, score = best
     new_graph = graph.copy()
     former = new_graph.remove_node(m)
     for i, a in enumerate(former):
         for b in former[i + 1 :]:
             if not new_graph.has_edge(a, b):
                 new_graph.add_edge(a, b)
-    return DeletionResult(new_graph, cand_params, cand_assign, score, current, m)
+    return DeletionResult(new_graph, cand_params, Assignment(new_m), score, current, m)

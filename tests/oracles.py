@@ -119,3 +119,64 @@ def random_pd_matrix(rng, p, scale=1.0) -> np.ndarray:
     """Random symmetric positive-definite matrix."""
     A = rng.normal(size=(p, p))
     return scale * (A @ A.T + p * np.eye(p) * 0.1)
+
+
+def oracle_try_delete_node(data, graph, assignment, params, family):
+    """Brute-force node deletion: for every candidate, batch-refit every
+    survivor on its new member set and score the whole map anew.
+
+    Same contract as ``smlsom.try_delete_node`` (whose scoring it must
+    reproduce bit for bit), built from the family's per-row log-likelihoods
+    and batch fits only.
+    """
+    from smlsom import Assignment
+    from smlsom.structure import DeletionResult, MdlScore
+
+    X = data.values
+    n = data.n
+
+    def score(assign, node_params):
+        neg = 0.0
+        for m in sorted(node_params):
+            idx = assign.members(m)
+            if idx.size:
+                neg -= float(family.loglik_rows(X[idx], node_params[m]).sum())
+        M = len(node_params)
+        return MdlScore(neg, 0.5 * M * family.df(data.p) * math.log(n), n * math.log(M))
+
+    current = score(assignment, params)
+    ids = sorted(params)
+    if len(ids) < 2:
+        return DeletionResult(graph, params, assignment, current, current, None)
+
+    ll = np.stack([family.loglik_rows(X, params[m]) for m in ids])
+    best = None  # (total, candidate id, params, assignment, score)
+    for pos, m in enumerate(ids):
+        moved = assignment.members(m)
+        new_m = assignment.m.copy()
+        if moved.size:
+            sub = np.delete(ll[:, moved], pos, axis=0)
+            survivors = np.delete(np.asarray(ids), pos)
+            new_m[moved] = survivors[np.argmax(sub, axis=0)]
+        cand_assign = Assignment(new_m)
+        cand_params = {}
+        for l in ids:
+            if l == m:
+                continue
+            idx = cand_assign.members(l)
+            cand_params[l] = family.batch(X[idx]) if idx.size else params[l]
+        cand = score(cand_assign, cand_params)
+        if best is None or cand.total < best[0]:
+            best = (cand.total, m, cand_params, cand_assign, cand)
+
+    if best[0] >= current.total:
+        return DeletionResult(graph, params, assignment, current, current, None)
+
+    _, m, cand_params, cand_assign, cand = best
+    new_graph = graph.copy()
+    former = new_graph.remove_node(m)
+    for i, a in enumerate(former):
+        for b in former[i + 1 :]:
+            if not new_graph.has_edge(a, b):
+                new_graph.add_edge(a, b)
+    return DeletionResult(new_graph, cand_params, cand_assign, cand, current, m)

@@ -4,6 +4,9 @@ import pytest
 from smlsom import (
     Dataset,
     FitConfig,
+    GaussianFamily,
+    classify,
+    mdl_score,
     ari,
     default_radius,
     init_params,
@@ -115,6 +118,23 @@ class TestInitParams:
 
 
 class TestFit:
+    @pytest.mark.parametrize("case", ["faithful", "mixture"])
+    def test_converged_fit_reports_its_last_cycle(self, case):
+        # a converged fit returns its last cycle's assignment and MDL, which
+        # must equal a fresh classification and scoring of the final map
+        if case == "faithful":
+            data = load_faithful()
+        else:
+            data, _ = blobs(np.random.default_rng(12), [(-6, 0), (6, 0), (0, 6)], 150)
+        config = FitConfig(seed=2)
+        result = smlsom_fit(data, config)
+        last = result.trace[-1]
+        assert len(result.trace) < (config.rows * config.cols) ** 2
+        assert last.edges_cut == 0 and last.node_deleted is None
+        family = GaussianFamily()
+        assert result.assignment.m.tobytes() == classify(data, result.params, family).m.tobytes()
+        assert result.mdl == mdl_score(data, result.assignment, result.params, family)
+
     def test_two_blobs_collapse_to_two_nodes(self):
         rng = np.random.default_rng(7)
         data, labels = blobs(rng, [(-6.0, 0.0), (6.0, 0.0)], 300)

@@ -11,15 +11,18 @@ from smlsom import (
     MapGraph,
     MultinomialFamily,
     MultinomParams,
+    classify,
     cut_weak_links,
     kl_estimate,
     link_weakness,
+    loglik_matrix,
     mdl_score,
     try_delete_node,
 )
-from oracles import oracle_gauss_kl, oracle_mdl, random_pd_matrix
+from oracles import oracle_gauss_kl, oracle_mdl, oracle_try_delete_node, random_pd_matrix
 
 GAUSS = GaussianFamily()
+MULTINOM = MultinomialFamily()
 
 
 def two_blob_fixture(rng, sep=20.0, n_per=150):
@@ -99,14 +102,14 @@ class TestCutWeakLinks:
     def test_cuts_only_the_cross_blob_edge(self):
         rng = np.random.default_rng(6)
         data, g, params, assignment = two_blob_fixture(rng)
-        removed = cut_weak_links(g, data, assignment, params, 15.0, GAUSS)
+        removed = cut_weak_links(g, data, assignment, params, 15.0, GAUSS, loglik_matrix(data, params, GAUSS))
         assert removed == {(1, 2)}
         assert sorted(g.edges) == [(0, 1), (2, 3)]
 
     def test_infinite_beta_never_cuts(self):
         rng = np.random.default_rng(7)
         data, g, params, assignment = two_blob_fixture(rng, sep=100.0)
-        removed = cut_weak_links(g, data, assignment, params, math.inf, GAUSS)
+        removed = cut_weak_links(g, data, assignment, params, math.inf, GAUSS, loglik_matrix(data, params, GAUSS))
         assert removed == set()
         assert len(g.edges) == 3
 
@@ -120,7 +123,7 @@ class TestCutWeakLinks:
             1: GaussParams([50.0, 50.0], np.eye(2)),  # wins nothing
         }
         assignment = Assignment(np.zeros(60, dtype=int))
-        removed = cut_weak_links(g, data, assignment, params, math.inf, GAUSS)
+        removed = cut_weak_links(g, data, assignment, params, math.inf, GAUSS, loglik_matrix(data, params, GAUSS))
         assert removed == {(0, 1)}
 
     def test_tight_cluster_pair_survives(self):
@@ -136,7 +139,7 @@ class TestCutWeakLinks:
         from smlsom import classify
 
         assignment = classify(data, params, GAUSS)
-        removed = cut_weak_links(g, data, assignment, params, 15.0, GAUSS)
+        removed = cut_weak_links(g, data, assignment, params, 15.0, GAUSS, loglik_matrix(data, params, GAUSS))
         assert removed == set()
 
 
@@ -213,7 +216,7 @@ class TestTryDeleteNode:
         from smlsom import classify
 
         assignment = classify(data, params, GAUSS)
-        result = try_delete_node(data, g, assignment, params, GAUSS)
+        result = try_delete_node(data, g, assignment, params, GAUSS, loglik_matrix(data, params, GAUSS))
         assert result.deleted in (0, 1)
         assert sorted(result.params) == sorted(set(range(3)) - {result.deleted})
         assert result.score.total < result.previous.total
@@ -231,7 +234,7 @@ class TestTryDeleteNode:
         from smlsom import classify
 
         assignment = classify(data, params, GAUSS)
-        result = try_delete_node(data, g, assignment, params, GAUSS)
+        result = try_delete_node(data, g, assignment, params, GAUSS, loglik_matrix(data, params, GAUSS))
         assert result.deleted is None
         assert sorted(result.params) == [0, 1]
 
@@ -241,7 +244,7 @@ class TestTryDeleteNode:
         g = MapGraph(nodes=[0])
         params = {0: GaussParams([0.0, 0.0], np.eye(2))}
         result = try_delete_node(
-            data, g, Assignment(np.zeros(40, dtype=int)), params, GAUSS
+            data, g, Assignment(np.zeros(40, dtype=int)), params, GAUSS, loglik_matrix(data, params, GAUSS)
         )
         assert result.deleted is None
 
@@ -260,7 +263,7 @@ class TestTryDeleteNode:
         from smlsom import classify
 
         assignment = classify(data, params, GAUSS)
-        result = try_delete_node(data, g, assignment, params, GAUSS)
+        result = try_delete_node(data, g, assignment, params, GAUSS, loglik_matrix(data, params, GAUSS))
         if result.deleted == 0:
             assert sorted(result.graph.edges) == [(1, 2), (1, 3), (2, 3)]
 
@@ -277,8 +280,130 @@ class TestTryDeleteNode:
             from smlsom import classify
 
             assignment = classify(data, params, GAUSS)
-            result = try_delete_node(data, g, assignment, params, GAUSS)
+            result = try_delete_node(data, g, assignment, params, GAUSS, loglik_matrix(data, params, GAUSS))
             if result.deleted is not None:
                 assert result.score.total < result.previous.total
             else:
                 assert result.score.total == pytest.approx(result.previous.total)
+
+
+def _param_bytes(theta) -> list[bytes]:
+    arrays = [theta.theta] if hasattr(theta, "theta") else [theta.mu, theta.sigma]
+    return [a.tobytes() for a in arrays]
+
+
+def _assert_matches_oracle(data, g, assignment, params, family):
+    """try_delete_node and the brute-force oracle agree exactly."""
+    got = try_delete_node(data, g.copy(), assignment, params, family, loglik_matrix(data, params, family))
+    want = oracle_try_delete_node(data, g.copy(), assignment, params, family)
+    assert got.deleted == want.deleted
+    assert got.assignment.m.tobytes() == want.assignment.m.tobytes()
+    assert sorted(got.params) == sorted(want.params)
+    for m in want.params:
+        assert _param_bytes(got.params[m]) == _param_bytes(want.params[m]), m
+    assert got.score == want.score
+    assert got.previous == want.previous
+    assert got.graph == want.graph
+    return got
+
+
+def _receivers(assignment, result) -> set:
+    moved = assignment.m == result.deleted
+    return set(result.assignment.m[moved].tolist())
+
+
+def _gauss_case(rng, p, split):
+    """Three blobs and one far outlier. Nodes 0-2 sit on the blobs, node 3
+    on the outlier (a single member), node 4 far from everything (no
+    members). With ``split``, node 5 takes every other row of blobs 0 and
+    1, so deleting it hands its rows to two receivers."""
+    centers = 6.0 * np.eye(max(p, 3))[:3, :p] if p > 1 else np.array([[-6.0], [0.0], [6.0]])
+    blobs = [c + rng.normal(size=(40, p)) * 0.7 for c in centers]
+    outlier = np.full((1, p), 40.0)
+    data = Dataset(np.vstack(blobs + [outlier]))
+    params = {m: GaussParams(centers[m] + 0.2 * rng.normal(size=p), random_pd_matrix(rng, p, 0.3)) for m in range(3)}
+    params[3] = GaussParams(outlier[0], 0.01 * np.eye(p))
+    params[4] = GaussParams(np.full(p, -80.0), np.eye(p))
+    if split:
+        params[5] = GaussParams(0.5 * (centers[0] + centers[1]), random_pd_matrix(rng, p, 4.0))
+    assignment = classify(data, {m: params[m] for m in range(5)}, GAUSS)
+    if split:
+        m = assignment.m.copy()
+        m[1:80:2] = 5
+        assignment = Assignment(m)
+    g = MapGraph(nodes=sorted(params), edges=[(a, a + 1) for a in range(len(params) - 1)])
+    return data, g, assignment, params
+
+
+def _multinom_case(rng, split):
+    """The multinomial counterpart of ``_gauss_case``, over 4 categories."""
+    profiles = np.array([[0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1], [0.1, 0.1, 0.1, 0.7]])
+    blobs = [rng.multinomial(20, q, size=40).astype(float) for q in profiles]
+    outlier = np.array([[0.0, 0.0, 20.0, 0.0]])
+    data = Dataset(np.vstack(blobs + [outlier]))
+    params = {m: MultinomParams(profiles[m] + 0.05 * rng.random(4)) for m in range(3)}
+    params[3] = MultinomParams([0.01, 0.01, 0.97, 0.01])
+    params[4] = MultinomParams([0.02, 0.02, 0.94, 0.02])  # loses the outlier to node 3
+    if split:
+        params[5] = MultinomParams([0.4, 0.4, 0.1, 0.1])
+    assignment = classify(data, {m: params[m] for m in range(4)}, MULTINOM)
+    if split:
+        m = assignment.m.copy()
+        m[1:80:2] = 5
+        assignment = Assignment(m)
+    g = MapGraph(nodes=sorted(params), edges=[(a, a + 1) for a in range(len(params) - 1)])
+    return data, g, assignment, params
+
+
+class TestTryDeleteNodeMatchesOracle:
+    """The receiver-only rescoring gives exactly the brute-force result."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_gaussian_split_deletion(self, p):
+        rng = np.random.default_rng(30 + p)
+        data, g, assignment, params = _gauss_case(rng, p, split=True)
+        assert [assignment.members(m).size for m in (3, 4)] == [1, 0]
+        result = _assert_matches_oracle(data, g, assignment, params, GAUSS)
+        assert result.deleted == 5
+        assert len(_receivers(assignment, result)) >= 2
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_gaussian_deletes_empty_node(self, p):
+        rng = np.random.default_rng(40 + p)
+        data, g, assignment, params = _gauss_case(rng, p, split=False)
+        assert [assignment.members(m).size for m in (3, 4)] == [1, 0]
+        result = _assert_matches_oracle(data, g, assignment, params, GAUSS)
+        assert result.deleted == 4
+
+    # Without the split node, deleting node 3 hands the outlier to the empty
+    # node 4, which refits on it alone: the same partition and fits as
+    # deleting node 4, an exact tie that the smaller id wins.
+    @pytest.mark.parametrize("split, deleted", [(True, 5), (False, 3)])
+    def test_multinomial(self, split, deleted):
+        rng = np.random.default_rng(50 + split)
+        data, g, assignment, params = _multinom_case(rng, split)
+        assert [assignment.members(m).size for m in (3, 4)] == [1, 0]
+        result = _assert_matches_oracle(data, g, assignment, params, MULTINOM)
+        assert result.deleted == deleted
+        if split:
+            assert len(_receivers(assignment, result)) >= 2
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_random_gaussian_maps(self, p):
+        rng = np.random.default_rng(60 + p)
+        for trial in range(15):
+            k = int(rng.integers(2, 8))
+            data = Dataset(rng.normal(size=(int(rng.integers(20, 120)), p)) * rng.uniform(0.5, 3.0))
+            params = {m: GaussParams(rng.normal(size=p), random_pd_matrix(rng, p)) for m in range(k)}
+            g = MapGraph(nodes=range(k), edges=[(a, a + 1) for a in range(k - 1)])
+            _assert_matches_oracle(data, g, classify(data, params, GAUSS), params, GAUSS)
+
+    def test_random_multinomial_maps(self):
+        rng = np.random.default_rng(70)
+        for trial in range(15):
+            k, cats = int(rng.integers(2, 8)), int(rng.integers(2, 6))
+            X = rng.multinomial(int(rng.integers(1, 30)), rng.dirichlet(np.ones(cats)), size=int(rng.integers(20, 120)))
+            data = Dataset(X.astype(float))
+            params = {m: MultinomParams(rng.dirichlet(np.ones(cats))) for m in range(k)}
+            g = MapGraph(nodes=range(k), edges=[(a, a + 1) for a in range(k - 1)])
+            _assert_matches_oracle(data, g, classify(data, params, MULTINOM), params, MULTINOM)
