@@ -15,6 +15,8 @@ from .core import (
     lattice_graph,
     neighborhood_indicator,
     schedule_alpha,
+    schedule_alphas,
+    schedule_radii,
     schedule_radius,
 )
 from .datagen import STRUCTURES, MixtureSpec, calibrate_overlap, overlap_mc, random_mixture, sample_mixture

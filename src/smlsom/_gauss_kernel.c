@@ -1,0 +1,278 @@
+/* Gaussian training kernel: one whole stochastic training cycle per call.
+ *
+ * Loaded through ctypes by smlsom/gaussian.py, which compiles this file on
+ * first use with -O2 -ffp-contract=off (no fused multiply-adds, no
+ * fast-math), so every expression rounds as written.
+ *
+ * Node state is stacked and updated in place: means (M x p), covariances
+ * and precisions (M x p x p), log-determinants (M) and refresh ages (M).
+ * Each step scores the drawn row under every node, takes the first maximum
+ * as the winner, and co-updates the winner's neighbours within the radius:
+ *
+ *   mu'    = mu + a d                         d = x - mu, q = d' P d
+ *   Sigma' = Sigma + a ((1 - a) d d' - Sigma)
+ *   P'     = (P - (a / g) (P d)(P d)') / (1 - a),   g = 1 + a q
+ *   logdet' = logdet + (p log1p(-a) + log g)
+ *
+ * A node is re-factorized by Cholesky after `refresh_every` rank-one
+ * updates, or at once when g is not finite and positive. A covariance that
+ * Cholesky rejects gets the jitter ladder eps * trace/p on its diagonal.
+ * The element-wise steps and the summation orders follow the numpy
+ * expressions they replace (einsum, pairwise sums), so means and
+ * covariances come out bitwise equal to numpy's whenever winners agree.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define KERNEL_OK (-1)
+#define KERNEL_NOMEM (-2)
+
+/* numpy's pairwise summation of n strided doubles, started from 0.0. */
+static double pairwise_sum(const double *a, int64_t n, int64_t stride)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i * stride];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j * stride];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[(i + j) * stride];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i * stride];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2, stride) + pairwise_sum(a + n2 * stride, n - n2, stride);
+}
+
+/* d' P d in the order einsum("mi,mij,mj->m") sums it over two or more
+   nodes: one running sum of (d_i P_ij) d_j over i, then j. */
+static double quad_form(int64_t p, const double *d, const double *P)
+{
+    double q = 0.0;
+    for (int64_t i = 0; i < p; i++)
+        for (int64_t j = 0; j < p; j++)
+            q += d[i] * P[i * p + j] * d[j];
+    return q;
+}
+
+/* Row i of P d, summed the way the OpenBLAS dgemv that numpy calls sums it
+   on an AVX-512 x86-64 host: four lanes over blocks of four columns,
+   accumulated with fused multiply-adds and reduced as (l0 + l2) + (l1 + l3),
+   then the last p % 4 columns. Measured bitwise equal for p <= 8 there.
+   The order matters when a near-singular precision turns the last bits of
+   P d into visible differences of the Sherman-Morrison step. */
+static double matvec_row(int64_t p, const double *Pi, const double *d)
+{
+    int64_t m1 = p - p % 4, j;
+    double y = 0.0;
+    if (m1 > 0) {
+        double l[4];
+        for (j = 0; j < 4; j++)
+            l[j] = Pi[j] * d[j];
+        for (int64_t b = 4; b < m1; b += 4)
+            for (j = 0; j < 4; j++)
+                l[j] = fma(Pi[b + j], d[b + j], l[j]);
+        y = (l[0] + l[2]) + (l[1] + l[3]);
+    }
+    switch (p - m1) {
+    case 1:
+        return fma(Pi[m1], d[m1], y);
+    case 2:
+        return y + fma(Pi[m1], d[m1], Pi[m1 + 1] * d[m1 + 1]);
+    case 3:
+        return y + fma(Pi[m1 + 2], d[m1 + 2], fma(Pi[m1], d[m1], Pi[m1 + 1] * d[m1 + 1]));
+    }
+    return y;
+}
+
+/* Lower Cholesky factor of the symmetric matrix A into L (row-major), in
+   the unblocked LAPACK potf2 order: each pivot subtracts a dot product
+   accumulated with fused multiply-adds, as numpy's LAPACK does for the
+   short rows met here. Returns 0 when a pivot is not positive (or NaN). */
+static int cholesky(int64_t p, const double *A, double *L)
+{
+    memset(L, 0, (size_t)(p * p) * sizeof(double));
+    for (int64_t j = 0; j < p; j++) {
+        double dot = 0.0;
+        for (int64_t k = 0; k < j; k++)
+            dot = fma(L[j * p + k], L[j * p + k], dot);
+        double ajj = A[j * p + j] - dot;
+        if (!(ajj > 0.0))
+            return 0;
+        ajj = sqrt(ajj);
+        L[j * p + j] = ajj;
+        double inv = 1.0 / ajj;
+        for (int64_t i = j + 1; i < p; i++) {
+            double s = A[i * p + j];
+            for (int64_t k = 0; k < j; k++)
+                s -= L[i * p + k] * L[j * p + k];
+            L[i * p + j] = s * inv;
+        }
+    }
+    return 1;
+}
+
+/* Re-factorize one node: Cholesky of sigma, with the jitter ladder when it
+   fails (the accepted jittered matrix replaces sigma), then the precision
+   from the factor by two triangular solves per column and the
+   log-determinant from its diagonal. `work` holds 2 p^2 + p doubles.
+   Returns 0 when the whole ladder fails. */
+static int refactor(int64_t p, double *sigma, double *prec, double *logdet,
+                    const double *jitter, int64_t n_jitter, double *work)
+{
+    double *L = work, *J = work + p * p, *y = work + 2 * p * p;
+    if (!cholesky(p, sigma, L)) {
+        double scale = pairwise_sum(sigma, p, p + 1) / (double)p;
+        if (scale <= 0.0)
+            scale = 1.0;
+        int64_t s;
+        for (s = 0; s < n_jitter; s++) {
+            double e = jitter[s] * scale;
+            for (int64_t i = 0; i < p; i++)
+                for (int64_t j = 0; j < p; j++)
+                    J[i * p + j] = sigma[i * p + j] + e * (i == j ? 1.0 : 0.0);
+            if (cholesky(p, J, L))
+                break;
+        }
+        if (s == n_jitter)
+            return 0;
+        memcpy(sigma, J, (size_t)(p * p) * sizeof(double));
+    }
+    for (int64_t c = 0; c < p; c++) {
+        for (int64_t i = 0; i < p; i++) { /* L y = e_c */
+            double s = (i == c) ? 1.0 : 0.0;
+            for (int64_t k = 0; k < i; k++)
+                s -= L[i * p + k] * y[k];
+            y[i] = s / L[i * p + i];
+        }
+        for (int64_t i = p - 1; i >= 0; i--) { /* L' x = y */
+            double s = y[i];
+            for (int64_t k = i + 1; k < p; k++)
+                s -= L[k * p + i] * prec[k * p + c];
+            prec[i * p + c] = s / L[i * p + i];
+        }
+    }
+    for (int64_t i = 0; i < p; i++)
+        y[i] = log(L[i * p + i]);
+    *logdet = 2.0 * pairwise_sum(y, p, 1);
+    return 1;
+}
+
+/* One node's update from its deviation d and quadratic form q. Returns 0
+   when a re-factorization exhausts the jitter ladder. */
+static int node_step(int64_t p, const double *d, double q, double a, int update_sigma,
+                     int64_t refresh_every, const double *jitter, int64_t n_jitter,
+                     double *mu, double *sigma, double *prec, double *logdet,
+                     int64_t *age, double *work)
+{
+    for (int64_t i = 0; i < p; i++)
+        mu[i] = mu[i] + a * d[i];
+    if (!update_sigma)
+        return 1;
+    double oma = 1.0 - a;
+    for (int64_t i = 0; i < p; i++)
+        for (int64_t j = 0; j < p; j++)
+            sigma[i * p + j] = sigma[i * p + j] + a * (oma * (d[i] * d[j]) - sigma[i * p + j]);
+    double g = 1.0 + a * q;
+    if (*age < refresh_every && 0.0 < g && g < INFINITY) {
+        double *pd = work, ag = a / g;
+        for (int64_t i = 0; i < p; i++)
+            pd[i] = matvec_row(p, prec + i * p, d);
+        for (int64_t i = 0; i < p; i++)
+            for (int64_t j = 0; j < p; j++)
+                prec[i * p + j] = (prec[i * p + j] - ag * (pd[i] * pd[j])) / oma;
+        *logdet += (double)p * log1p(-a) + log(g);
+        *age += 1;
+        return 1;
+    }
+    *age = 0;
+    return refactor(p, sigma, prec, logdet, jitter, n_jitter, work);
+}
+
+/* One update of node k from the sample x. Returns KERNEL_OK, or k when the
+   node's covariance stays singular after the whole jitter ladder. */
+int64_t gauss_update_node(int64_t p, int64_t k, const double *x, double a,
+                          int update_sigma, int64_t refresh_every,
+                          const double *jitter, int64_t n_jitter,
+                          double *mus, double *sigmas, double *precs,
+                          double *logdets, int64_t *ages)
+{
+    double *buf = malloc((size_t)(2 * p * p + 2 * p) * sizeof(double));
+    if (!buf)
+        return KERNEL_NOMEM;
+    double *d = buf, *work = buf + p;
+    const double *mu = mus + k * p, *prec = precs + k * p * p;
+    for (int64_t i = 0; i < p; i++)
+        d[i] = x[i] - mu[i];
+    int ok = node_step(p, d, quad_form(p, d, prec), a, update_sigma, refresh_every,
+                       jitter, n_jitter, mus + k * p, sigmas + k * p * p,
+                       precs + k * p * p, logdets + k, ages + k, work);
+    free(buf);
+    return ok ? KERNEL_OK : k;
+}
+
+/* A whole training cycle of `steps` steps. Step t draws row draws[t] of the
+   n x p matrix X, trains at rate alphas[t] and radius radii[t], and writes
+   its winner's index to winners[t]. Node c's neighbours, itself included,
+   are nb_idx[nb_ptr[c] .. nb_ptr[c+1]) at hop counts nb_hops[...], sorted
+   by (hops, index). `cst` is -p log(2 pi) / 2. Returns KERNEL_OK,
+   KERNEL_NOMEM, or the index of a node whose covariance stays singular
+   after the whole jitter ladder. */
+int64_t gauss_train_cycle(int64_t p, int64_t M, const double *X, int64_t steps,
+                          const int64_t *draws, const double *alphas, const double *radii,
+                          const int64_t *nb_ptr, const int64_t *nb_idx, const int64_t *nb_hops,
+                          double cst, int update_sigma, int64_t refresh_every,
+                          const double *jitter, int64_t n_jitter,
+                          double *mus, double *sigmas, double *precs, double *logdets,
+                          int64_t *ages, int64_t *winners)
+{
+    double *buf = malloc((size_t)(M * p + 2 * M + 2 * p * p + p) * sizeof(double));
+    if (!buf)
+        return KERNEL_NOMEM;
+    double *dev = buf, *quad = buf + M * p, *ll = quad + M, *work = ll + M;
+    int64_t status = KERNEL_OK;
+
+    for (int64_t t = 0; t < steps && status == KERNEL_OK; t++) {
+        const double *x = X + draws[t] * p;
+        for (int64_t m = 0; m < M; m++) {
+            double *d = dev + m * p;
+            for (int64_t i = 0; i < p; i++)
+                d[i] = x[i] - mus[m * p + i];
+            quad[m] = quad_form(p, d, precs + m * p * p);
+            ll[m] = cst - 0.5 * (logdets[m] + quad[m]);
+        }
+        int64_t c = 0; /* np.argmax: the first maximum, or the first NaN */
+        for (int64_t m = 0; m < M && !isnan(ll[c]); m++)
+            if (ll[m] > ll[c] || isnan(ll[m]))
+                c = m;
+        winners[t] = c;
+
+        double a = alphas[t];
+        for (int64_t j = nb_ptr[c]; j < nb_ptr[c + 1]; j++) {
+            if ((double)nb_hops[j] > radii[t])
+                break;
+            int64_t k = nb_idx[j];
+            if (!node_step(p, dev + k * p, quad[k], a, update_sigma, refresh_every,
+                           jitter, n_jitter, mus + k * p, sigmas + k * p * p,
+                           precs + k * p * p, logdets + k, ages + k, work)) {
+                status = k;
+                break;
+            }
+        }
+    }
+    free(buf);
+    return status;
+}

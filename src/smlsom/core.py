@@ -217,21 +217,40 @@ class Schedule:
             raise ValueError(f"tau={tau} outside [1, {self.tau_max}]")
 
 
-def schedule_alpha(s: Schedule, tau: int) -> float:
-    """Learning rate linearly decaying from alpha0 (tau=1) to alpha1."""
-    s._check_tau(tau)
+def _alphas_at(s: Schedule, tau: np.ndarray) -> np.ndarray:
     if s.tau_max == 1:
-        return s.alpha0
+        return np.full(tau.shape, s.alpha0)
     return s.alpha0 - (s.alpha0 - s.alpha1) * (tau - 1) / (s.tau_max - 1)
 
 
-def schedule_radius(s: Schedule, tau: int) -> float:
-    """Neighborhood radius r1 - 2*r1*tau/tau_max, clamped to 0.5 below 1
-    (the winner alone updates in the hard phase)."""
-    s._check_tau(tau)
+def _radii_at(s: Schedule, tau: np.ndarray) -> np.ndarray:
     r2 = -s.r1
     r = s.r1 - (s.r1 - r2) * tau / s.tau_max
-    return r if r >= 1 else 0.5
+    return np.where(r >= 1, r, 0.5)
+
+
+def schedule_alphas(s: Schedule) -> np.ndarray:
+    """Learning rate at every step tau = 1..tau_max: linear decay from
+    alpha0 (tau=1) to alpha1."""
+    return _alphas_at(s, np.arange(1, s.tau_max + 1))
+
+
+def schedule_radii(s: Schedule) -> np.ndarray:
+    """Neighborhood radius at every step tau = 1..tau_max: r1 - 2*r1*tau/tau_max,
+    clamped to 0.5 below 1 (the winner alone updates in the hard phase)."""
+    return _radii_at(s, np.arange(1, s.tau_max + 1))
+
+
+def schedule_alpha(s: Schedule, tau: int) -> float:
+    """Learning rate at one step; see :func:`schedule_alphas`."""
+    s._check_tau(tau)
+    return float(_alphas_at(s, np.array([tau]))[0])
+
+
+def schedule_radius(s: Schedule, tau: int) -> float:
+    """Neighborhood radius at one step; see :func:`schedule_radii`."""
+    s._check_tau(tau)
+    return float(_radii_at(s, np.array([tau]))[0])
 
 
 @dataclass(frozen=True)

@@ -4,29 +4,123 @@ Log-likelihoods go through a Cholesky factorization; covariances that fail
 to factorize get an escalating diagonal jitter before a singular-model
 error is raised.
 
-The training state does not factorize on every step. A moment step moves a
-covariance by a scaled rank-one term, Sigma' = (1-a)Sigma + a(1-a)dd^T, so
-the precision follows by Sherman-Morrison and the log-determinant by the
+Training runs in a compiled kernel (``_gauss_kernel.c``, loaded through
+ctypes): one call trains a whole cycle, winner search and neighbor updates
+included. The kernel does not factorize on every step. A moment step moves
+a covariance by a scaled rank-one term, Sigma' = (1-a)Sigma + a(1-a)dd^T,
+so the precision follows by Sherman-Morrison and the log-determinant by the
 matrix determinant lemma, both from the quadratic form d^T P d that the
 winner search has already computed. To bound round-off drift a node is
 re-factorized after every ``_REFRESH_EVERY`` rank-one updates, and at once
-when the lemma's factor 1 + a d^T P d is not finite and positive.
+when the lemma's factor 1 + a d^T P d is not finite and positive. Means and
+covariances move element-wise in the same order as ``_moment_step``.
+
+The kernel is compiled on first use with the system C compiler ``cc`` into
+``__pycache__`` next to this file, under a name that hashes the source and
+the compile command, so later processes load the cached library. Without a
+working compiler, training raises ``SmlsomError``.
 """
 
 from __future__ import annotations
 
-import math
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .errors import SingularModelError
+from .errors import SingularModelError, SmlsomError
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _JITTER_STEPS = (1e-10, 1e-8, 1e-6)
 _SYM_TOL = 1e-10
 _REFRESH_EVERY = 50  # rank-one updates of a training-state node between factorizations
+
+_KERNEL_SOURCE = Path(__file__).with_name("_gauss_kernel.c")
+_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_KERNEL_OK, _KERNEL_NOMEM = -1, -2  # kernel status codes; any other is a singular node's index
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_STATE_ARGTYPES = [ctypes.c_int, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR]
+_lib = None  # the kernel, loaded by the first training state
+
+
+def kernel_path(source: bytes, cc: str, cache_dir: Path) -> Path:
+    """Cache file of ``source`` compiled by ``cc``; its name hashes the
+    source and the compile command."""
+    command = " ".join((cc, *_CC_FLAGS, "-lm")).encode()
+    tag = hashlib.sha256(source + b"\0" + command).hexdigest()[:16]
+    return Path(cache_dir) / f"_gauss_kernel.{tag}.so"
+
+
+def load_kernel(cc: str = "cc", cache_dir: Path | None = None) -> ctypes.CDLL:
+    """Load the training kernel, compiling it first when ``cache_dir``
+    (default: ``__pycache__`` next to this module) holds no build of the
+    current source by ``cc``.
+
+    The compiler writes to a temporary name that is then renamed into
+    place, so processes building at the same time do not clash.
+    """
+    if cache_dir is None:
+        cache_dir = Path(__file__).with_name("__pycache__")
+    path = kernel_path(_KERNEL_SOURCE.read_bytes(), cc, cache_dir)
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
+        os.close(fd)
+        cmd = [cc, *_CC_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"]
+        try:
+            try:
+                proc = subprocess.run(cmd, capture_output=True, text=True)
+            except OSError as exc:
+                proc = subprocess.CompletedProcess(cmd, None, "", str(exc))
+            if proc.returncode != 0:
+                raise SmlsomError(
+                    "cannot build the Gaussian training kernel; it needs a C compiler. "
+                    f"`{' '.join(cmd)}` failed:\n{proc.stderr.strip()}"
+                )
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(str(path))
+    lib.gauss_update_node.argtypes = [_I64, _I64, _PTR, _F64, *_STATE_ARGTYPES]
+    lib.gauss_train_cycle.argtypes = [
+        _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, *_STATE_ARGTYPES, _PTR
+    ]
+    lib.gauss_update_node.restype = lib.gauss_train_cycle.restype = _I64
+    return lib
+
+
+def _kernel() -> ctypes.CDLL:
+    global _lib
+    if _lib is None:
+        _lib = load_kernel()
+    return _lib
+
+
+def _buffer(a: np.ndarray, dtype, shape: tuple, out: bool = False) -> int:
+    """Address of ``a``, which the kernel reads (and writes when ``out``) as
+    an aligned C-contiguous ``dtype`` array of ``shape``; anything else
+    raises, since ctypes pointers carry no type or bounds."""
+    flags = a.flags
+    if a.dtype != dtype or a.shape != shape or not (flags.c_contiguous and flags.aligned) or (out and not flags.writeable):
+        raise ValueError(
+            f"kernel needs a C-contiguous {np.dtype(dtype)} array of shape {shape}, "
+            f"got {a.dtype} of shape {a.shape}"
+        )
+    return a.ctypes.data
+
+
+def _check_status(status: int):
+    if status == _KERNEL_NOMEM:
+        raise MemoryError("Gaussian training kernel could not allocate its buffers")
+    if status != _KERNEL_OK:
+        raise SingularModelError("covariance not positive definite after maximal jitter")
 
 
 def _factorize(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,20 +224,16 @@ def gauss_df(p: int) -> int:
 
 
 class _GaussTrainState:
-    """Stacked node parameters for the training hot loop.
+    """Stacked node parameters for training, updated in place by the kernel.
 
-    Keeps per-node precision matrices and log determinants current so a
-    winner search is a single einsum over all live nodes. ``loglik_all``
-    keeps the deviations and quadratic forms it computes; ``update`` reuses
-    them when handed the row last scored (the same object, unmodified) and
-    rescores otherwise. An update applies the moment step to the mean and
-    covariance, then moves the precision by Sherman-Morrison and the log
-    determinant by the determinant lemma. After ``_REFRESH_EVERY`` such
-    rank-one updates of a node, or when the lemma factor is not finite and
-    positive, the update re-factorizes that node's covariance instead.
+    Holds means, covariances, precisions, log-determinants and refresh ages
+    for every node, in the order of the parameter list it was built from.
+    ``run`` trains a whole cycle in one kernel call; ``update`` applies one
+    node update through the same kernel routine.
     """
 
     def __init__(self, params_list: list[GaussParams], update_sigma: bool = True):
+        self._lib = _kernel()
         self.update_sigma = update_sigma
         p = params_list[0].p
         M = len(params_list)
@@ -154,43 +244,67 @@ class _GaussTrainState:
         for k, t in enumerate(params_list):
             self.precs[k] = t.precision
             self.logdets[k] = t.log_det
-        self._const = -0.5 * p * _LOG_2PI
-        self._eye = np.eye(p)
-        self._age = [0] * M  # rank-one updates since each node's last factorization
-        self._scored = self._dev = self._quad = None  # last loglik_all row and its terms
-        self._moved: set[int] = set()  # nodes updated since that call
+        self.ages = np.zeros(M, dtype=np.int64)  # rank-one updates since each node's last factorization
+        self._jitter = np.array(_JITTER_STEPS)
 
-    def loglik_all(self, x: np.ndarray) -> np.ndarray:
-        D = x - self.mus
-        quad = np.einsum("mi,mij,mj->m", D, self.precs, D)
-        self._scored, self._dev, self._quad = x, D, quad
-        self._moved = set()
-        return self._const - 0.5 * (self.logdets + quad)
+    def _state_args(self) -> tuple:
+        """Kernel arguments shared by both entry points, checked."""
+        M, p = self.mus.shape
+        return (
+            int(self.update_sigma),
+            _REFRESH_EVERY,
+            _buffer(self._jitter, np.float64, (len(_JITTER_STEPS),)),
+            len(_JITTER_STEPS),
+            _buffer(self.mus, np.float64, (M, p), out=True),
+            _buffer(self.sigmas, np.float64, (M, p, p), out=True),
+            _buffer(self.precs, np.float64, (M, p, p), out=True),
+            _buffer(self.logdets, np.float64, (M,), out=True),
+            _buffer(self.ages, np.int64, (M,), out=True),
+        )
 
     def update(self, k: int, x: np.ndarray, a: float):
-        if x is not self._scored or k in self._moved:
-            self.loglik_all(x)
-        self._moved.add(k)
-        d = self._dev[k]
-        if not self.update_sigma:
-            self.mus[k] = self.mus[k] + a * d
-            return
-        self.mus[k], self.sigmas[k] = _moment_step(self.mus[k], self.sigmas[k], d, a)
-        g = 1.0 + a * self._quad[k]
-        if self._age[k] < _REFRESH_EVERY and 0.0 < g < math.inf:
-            pd = self.precs[k] @ d
-            self.precs[k] = (self.precs[k] - (a / g) * (pd[:, None] * pd)) / (1.0 - a)
-            self.logdets[k] += self.mus.shape[1] * math.log1p(-a) + math.log(g)
-            self._age[k] += 1
-        else:
-            self._refactor(k)
+        """Move node k toward the sample x at rate a."""
+        M, p = self.mus.shape
+        if not 0 <= k < M:
+            raise IndexError(f"node index {k} out of range for {M} nodes")
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        _check_status(self._lib.gauss_update_node(p, int(k), _buffer(x, np.float64, (p,)), a, *self._state_args()))
 
-    def _refactor(self, k: int):
-        sigma, L = _factorize(self.sigmas[k])
-        self.sigmas[k] = sigma
-        self.precs[k] = cho_solve((L, True), self._eye, check_finite=False)
-        self.logdets[k] = 2.0 * np.sum(np.log(np.diag(L)))
-        self._age[k] = 0
+    def run(self, X, draws, alphas, radii, neighbors) -> np.ndarray:
+        """Train one cycle: step t draws row ``draws[t]`` of X and updates
+        the winner's neighbors within ``radii[t]`` at rate ``alphas[t]``.
+        ``neighbors`` is a CSR table (``ptr``, ``idx``, ``hops``) of each
+        node's neighbors sorted by (hops, index). Returns each step's winner
+        index."""
+        M, p = self.mus.shape
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        n, steps = X.shape[0], len(draws)
+        if X.shape != (n, p) or draws.size and not 0 <= draws.min() <= draws.max() < n:
+            raise ValueError("draws must index rows of a matrix with one column per dimension")
+        n_links = len(neighbors.idx)
+        if neighbors.ptr[0] != 0 or neighbors.ptr[-1] != n_links or np.any(np.diff(neighbors.ptr) < 0):
+            raise ValueError("malformed neighbor table")
+        if n_links and not 0 <= neighbors.idx.min() <= neighbors.idx.max() < M:
+            raise ValueError("neighbor index out of range")
+        winners = np.empty(steps, dtype=np.int64)
+        _check_status(
+            self._lib.gauss_train_cycle(
+                p,
+                M,
+                _buffer(X, np.float64, (n, p)),
+                steps,
+                _buffer(draws, np.int64, (steps,)),
+                _buffer(alphas, np.float64, (steps,)),
+                _buffer(radii, np.float64, (steps,)),
+                _buffer(neighbors.ptr, np.int64, (M + 1,)),
+                _buffer(neighbors.idx, np.int64, (n_links,)),
+                _buffer(neighbors.hops, np.int64, (n_links,)),
+                -0.5 * p * _LOG_2PI,
+                *self._state_args(),
+                _buffer(winners, np.int64, (steps,), out=True),
+            )
+        )
+        return winners
 
     def export(self) -> list[GaussParams]:
         return [GaussParams(self.mus[k], self.sigmas[k]) for k in range(len(self.mus))]

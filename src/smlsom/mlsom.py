@@ -7,9 +7,11 @@ NodeParamsTable); all functions here are generic over the model family.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .core import Assignment, Dataset, MapGraph, Schedule, schedule_alpha, schedule_radius
+from .core import Assignment, Dataset, MapGraph, Schedule, schedule_alphas, schedule_radii
 
 
 def find_winner(x: np.ndarray, params: dict, family) -> int:
@@ -45,6 +47,29 @@ def classify(data: Dataset, params: dict, family) -> Assignment:
     return Assignment(ml_winners(loglik_matrix(data, params, family), sorted(params)))
 
 
+class NeighborTable(NamedTuple):
+    """CSR table of every node's reachable nodes, itself included.
+
+    Row k (the k-th smallest live id) is ``idx[ptr[k]:ptr[k + 1]]``, indices
+    in the same order, sorted by (hop distance, index); ``hops`` holds the
+    matching hop distances.
+    """
+
+    ptr: np.ndarray
+    idx: np.ndarray
+    hops: np.ndarray
+
+
+def neighbor_table(graph: MapGraph, ids: list) -> NeighborTable:
+    index_of = {m: k for k, m in enumerate(ids)}
+    hops = graph.all_pairs_hops()
+    rows = [sorted((d, index_of[l]) for l, d in hops[m].items()) for m in ids]
+    links = np.array([link for row in rows for link in row], dtype=np.int64).reshape(-1, 2)
+    ptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=ptr[1:])
+    return NeighborTable(ptr, np.ascontiguousarray(links[:, 1]), np.ascontiguousarray(links[:, 0]))
+
+
 def mlsom_train(
     data: Dataset,
     graph: MapGraph,
@@ -57,37 +82,23 @@ def mlsom_train(
     """Run tau_max stochastic steps and return the updated parameter table.
 
     Each step draws one sample uniformly with replacement, picks the
-    maximum-likelihood winner, and co-updates every node within the current
-    neighborhood radius (hop distance on the graph) at the current rate.
+    maximum-likelihood winner (ties go to the smallest id), and co-updates
+    every node within the current neighborhood radius (hop distance on the
+    graph) at the current rate. The draws, rates, radii and neighbor table
+    are built once here; the family's training state (``make_state``) runs
+    the steps in one ``run`` call: the Gaussian state in its compiled
+    kernel, the multinomial state in a Python loop.
     """
     ids = sorted(params)
     if set(ids) != set(graph.nodes):
         raise ValueError("params and graph disagree on live nodes")
-    X = data.values
 
     state = family.make_state([params[m] for m in ids])
-    index_of = {m: k for k, m in enumerate(ids)}
-    hops = graph.all_pairs_hops()
-    # per winner, neighbor indices sorted by hop distance for radius lookup
-    neigh = {
-        m: sorted(((d, index_of[l]) for l, d in hops[m].items()))
-        for m in ids
-    }
-
     # one vector draw gives the same stream as tau_max scalar draws
     draws = rng.integers(data.n, size=sched.tau_max)
-    taus = range(1, sched.tau_max + 1)
-    alphas = [schedule_alpha(sched, tau) for tau in taus]
-    radii = [schedule_radius(sched, tau) for tau in taus]
-    for i, alpha, radius in zip(draws, alphas, radii):
-        x = X[i]
-        c = ids[int(state.loglik_all(x).argmax())]
-        if winner_log is not None:
-            winner_log.append(c)
-        for d, k in neigh[c]:
-            if d > radius:
-                break
-            state.update(k, x, alpha)
-
-    out = state.export()
-    return {m: out[index_of[m]] for m in ids}
+    winners = state.run(
+        data.values, draws, schedule_alphas(sched), schedule_radii(sched), neighbor_table(graph, ids)
+    )
+    if winner_log is not None:
+        winner_log.extend(np.asarray(ids)[winners].tolist())
+    return dict(zip(ids, state.export()))

@@ -114,6 +114,22 @@ class _MultinomTrainState:
         self.thetas[k] = theta
         self.logthetas[k] = np.log(theta)
 
+    def run(self, X, draws, alphas, radii, neighbors) -> np.ndarray:
+        """Train one cycle step by step (see ``smlsom.mlsom_train``), through
+        ``self.update``; returns each step's winner index."""
+        ptr, idx, hops = (a.tolist() for a in neighbors)
+        neigh = [list(zip(hops[a:b], idx[a:b])) for a, b in zip(ptr, ptr[1:])]
+        winners = []
+        for i, alpha, radius in zip(draws.tolist(), alphas.tolist(), radii.tolist()):
+            x = X[i]
+            c = int(self.loglik_all(x).argmax())
+            winners.append(c)
+            for d, k in neigh[c]:
+                if d > radius:
+                    break
+                self.update(k, x, alpha)
+        return np.array(winners, dtype=np.int64)
+
     def export(self) -> list[MultinomParams]:
         return [MultinomParams(t) for t in self.thetas]
 

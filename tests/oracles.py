@@ -2,13 +2,16 @@
 
 Everything here deliberately avoids the production code paths: dense
 inverses instead of Cholesky factors, exact integer factorials, explicit
-pair enumeration, naive per-sample summation.
+pair enumeration, naive per-sample summation. The exceptions are
+references that a production path must match bit for bit, such as the
+numpy Gaussian training state that the compiled kernel replaced.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 
 def dense_gauss_loglik(x, mu, sigma) -> float:
@@ -180,3 +183,124 @@ def oracle_try_delete_node(data, graph, assignment, params, family):
             if not new_graph.has_edge(a, b):
                 new_graph.add_edge(a, b)
     return DeletionResult(new_graph, cand_params, cand_assign, cand, current, m)
+
+
+def oracle_alpha(s, tau) -> float:
+    """Learning rate at one step, the per-tau formula."""
+    if s.tau_max == 1:
+        return s.alpha0
+    return s.alpha0 - (s.alpha0 - s.alpha1) * (tau - 1) / (s.tau_max - 1)
+
+
+def oracle_radius(s, tau) -> float:
+    """Neighborhood radius at one step, the per-tau formula."""
+    r2 = -s.r1
+    r = s.r1 - (s.r1 - r2) * tau / s.tau_max
+    return r if r >= 1 else 0.5
+
+
+class OracleGaussTrainState:
+    """The numpy Gaussian training state, step by step in Python.
+
+    Keeps per-node precision matrices and log determinants current so a
+    winner search is a single einsum over all live nodes. ``loglik_all``
+    keeps the deviations and quadratic forms it computes; ``update`` reuses
+    them when handed the row last scored (the same object, unmodified) and
+    rescores otherwise. An update applies the moment step to the mean and
+    covariance, then moves the precision by Sherman-Morrison and the log
+    determinant by the determinant lemma. After ``_REFRESH_EVERY`` such
+    rank-one updates of a node, or when the lemma factor is not finite and
+    positive, the update re-factorizes that node's covariance instead.
+    """
+
+    def __init__(self, params_list, update_sigma=True):
+        from smlsom.gaussian import _LOG_2PI
+
+        self.update_sigma = update_sigma
+        p = params_list[0].p
+        M = len(params_list)
+        self.mus = np.stack([t.mu for t in params_list])
+        self.sigmas = np.stack([t.sigma for t in params_list])
+        self.precs = np.empty((M, p, p))
+        self.logdets = np.empty(M)
+        for k, t in enumerate(params_list):
+            self.precs[k] = t.precision
+            self.logdets[k] = t.log_det
+        self._const = -0.5 * p * _LOG_2PI
+        self._eye = np.eye(p)
+        self.ages = [0] * M  # rank-one updates since each node's last factorization
+        self._scored = self._dev = self._quad = None  # last loglik_all row and its terms
+        self._moved = set()  # nodes updated since that call
+
+    def loglik_all(self, x):
+        D = x - self.mus
+        quad = np.einsum("mi,mij,mj->m", D, self.precs, D)
+        self._scored, self._dev, self._quad = x, D, quad
+        self._moved = set()
+        return self._const - 0.5 * (self.logdets + quad)
+
+    def update(self, k, x, a):
+        from smlsom.gaussian import _REFRESH_EVERY, _moment_step
+
+        if x is not self._scored or k in self._moved:
+            self.loglik_all(x)
+        self._moved.add(k)
+        d = self._dev[k]
+        if not self.update_sigma:
+            self.mus[k] = self.mus[k] + a * d
+            return
+        self.mus[k], self.sigmas[k] = _moment_step(self.mus[k], self.sigmas[k], d, a)
+        g = 1.0 + a * self._quad[k]
+        if self.ages[k] < _REFRESH_EVERY and 0.0 < g < math.inf:
+            pd = self.precs[k] @ d
+            self.precs[k] = (self.precs[k] - (a / g) * (pd[:, None] * pd)) / (1.0 - a)
+            self.logdets[k] += self.mus.shape[1] * math.log1p(-a) + math.log(g)
+            self.ages[k] += 1
+        else:
+            self._refactor(k)
+
+    def _refactor(self, k):
+        from smlsom.gaussian import _factorize
+
+        sigma, L = _factorize(self.sigmas[k])
+        self.sigmas[k] = sigma
+        self.precs[k] = cho_solve((L, True), self._eye, check_finite=False)
+        self.logdets[k] = 2.0 * np.sum(np.log(np.diag(L)))
+        self.ages[k] = 0
+
+    def run(self, X, draws, alphas, radii, neighbors):
+        """The training loop of one cycle, one Python step at a time."""
+        ptr, idx, hops = (a.tolist() for a in neighbors)
+        winners = []
+        for i, alpha, radius in zip(draws.tolist(), alphas.tolist(), radii.tolist()):
+            x = X[i]
+            c = int(self.loglik_all(x).argmax())
+            winners.append(c)
+            for j in range(ptr[c], ptr[c + 1]):
+                if hops[j] > radius:
+                    break
+                self.update(idx[j], x, alpha)
+        return np.array(winners, dtype=np.int64)
+
+    def export(self):
+        from smlsom import GaussParams
+
+        return [GaussParams(self.mus[k], self.sigmas[k]) for k in range(len(self.mus))]
+
+
+class OracleGaussianFamily:
+    """The Gaussian family with the numpy training state in place of the
+    compiled kernel."""
+
+    def __init__(self, update_sigma=True):
+        from smlsom import GaussianFamily
+
+        self._inner = GaussianFamily(update_sigma)
+        self.update_sigma = update_sigma
+        self.name = self._inner.name
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
+
+    def make_state(self, params_list):
+        return OracleGaussTrainState(params_list, update_sigma=self.update_sigma)

@@ -11,9 +11,13 @@ from smlsom import (
     lattice_graph,
     neighborhood_indicator,
     schedule_alpha,
+    schedule_alphas,
+    schedule_radii,
     schedule_radius,
 )
 from smlsom.errors import DataError
+
+from oracles import oracle_alpha, oracle_radius
 
 
 class TestLattice:
@@ -131,6 +135,19 @@ class TestSchedules:
             schedule_alpha(s, 0)
         with pytest.raises(ValueError):
             schedule_radius(s, 6)
+
+    @pytest.mark.parametrize("tau_max", [1, 2, 3, 1000, 20000])
+    @pytest.mark.parametrize("r1", [0.5, 1.0, 2, 8 * 2.0 / 3.0, 5.3])
+    def test_arrays_match_per_tau_formulas_bitwise(self, tau_max, r1):
+        s = Schedule(alpha0=0.07, alpha1=0.013, r1=r1, tau_max=tau_max)
+        taus = range(1, tau_max + 1)
+        alphas, radii = schedule_alphas(s), schedule_radii(s)
+        assert alphas.dtype == radii.dtype == np.float64
+        np.testing.assert_array_equal(alphas, [oracle_alpha(s, t) for t in taus])
+        np.testing.assert_array_equal(radii, [oracle_radius(s, t) for t in taus])
+        for t in (1, tau_max, (tau_max + 1) // 2):
+            assert schedule_alpha(s, t) == oracle_alpha(s, t)
+            assert schedule_radius(s, t) == oracle_radius(s, t)
 
     def test_invalid_schedule(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from smlsom import (
     load_faithful,
     pca_init,
     smlsom_fit,
+    save_model,
     smlsom_fit_restarts,
 )
 from smlsom.errors import DataError
@@ -207,6 +208,23 @@ class TestFit:
         result = smlsom_fit(data, FitConfig(seed=6))
         assert set(result.graph.nodes) <= set(range(9))
         assert sorted(result.params) == result.graph.nodes
+
+
+    def test_memory_layout_does_not_change_the_fit(self, tmp_path):
+        # the training kernel reads a C-ordered copy of any other layout
+        rng = np.random.default_rng(30)
+        X = np.vstack([rng.normal(loc=c, scale=(0.5, 1.0, 0.3), size=(80, 3)) for c in [(-4, 0, 1), (4, 1, 0), (0, 5, -2)]])
+        wide = np.zeros((len(X), 6))
+        wide[:, ::2] = X
+        config = FitConfig(rows=2, cols=3, seed=4)
+        layouts = {"c": X, "fortran": np.asfortranarray(X), "strided": wide[:, ::2]}
+        assert not layouts["fortran"].flags.c_contiguous and not layouts["strided"].flags.c_contiguous
+        files = {}
+        for name, values in layouts.items():
+            files[name] = tmp_path / f"{name}.json"
+            save_model(files[name], smlsom_fit(Dataset(values), config))
+        assert files["fortran"].read_bytes() == files["c"].read_bytes()
+        assert files["strided"].read_bytes() == files["c"].read_bytes()
 
 
 class TestRestarts:

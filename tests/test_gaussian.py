@@ -1,14 +1,52 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smlsom import GaussianFamily, GaussParams, gauss_batch, gauss_df, gauss_loglik, gauss_update
-from smlsom.gaussian import _REFRESH_EVERY, gauss_loglik_rows
+import smlsom.gaussian as gaussian
+from smlsom import (
+    GaussianFamily,
+    GaussParams,
+    Schedule,
+    SingularModelError,
+    SmlsomError,
+    gauss_batch,
+    gauss_df,
+    gauss_loglik,
+    gauss_update,
+    lattice_graph,
+    schedule_alphas,
+    schedule_radii,
+)
+from smlsom.gaussian import _REFRESH_EVERY, gauss_loglik_rows, kernel_path, load_kernel
+from smlsom.mlsom import neighbor_table
 
-from oracles import dense_gauss_loglik, random_pd_matrix
+from oracles import OracleGaussTrainState, dense_gauss_loglik, random_pd_matrix
+
+# a covariance captured from a collapsing node: Cholesky accepts it, while an
+# LU inverse reports it singular
+CHOLESKY_ACCEPTED_SINGULAR = np.array(
+    [
+        [0.08937363124512407, -0.0727293143510449],
+        [-0.0727293143510449, 0.059184718045812726],
+    ]
+)
+
+
+def assert_matches_oracle(state, oracle):
+    """Means and covariances bitwise; precisions and log-determinants to
+    1e-9 relative to each matrix."""
+    np.testing.assert_array_equal(state.mus, oracle.mus)
+    np.testing.assert_array_equal(state.sigmas, oracle.sigmas)
+    scale = np.abs(oracle.precs).max(axis=(1, 2))
+    assert np.all(np.abs(state.precs - oracle.precs).max(axis=(1, 2)) <= 1e-9 * scale)
+    assert np.all(np.abs(state.logdets - oracle.logdets) <= 1e-9 * np.maximum(1.0, np.abs(oracle.logdets)))
 
 
 class TestLoglik:
@@ -106,46 +144,41 @@ class TestUpdate:
 
 class TestTrainState:
     """The stacked state the training loop updates: rank-one precision and
-    log-det steps with periodic re-factorization."""
+    log-det steps with periodic re-factorization, in the compiled kernel."""
 
     @staticmethod
-    def make(rng, p, M=3):
-        return GaussianFamily().make_state(
-            [GaussParams(rng.normal(size=p), random_pd_matrix(rng, p)) for _ in range(M)]
-        )
+    def params(rng, p, M=3):
+        return [GaussParams(rng.normal(size=p), random_pd_matrix(rng, p)) for _ in range(M)]
 
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_tracks_factorized_values_cached_and_uncached(self, p):
         rng = np.random.default_rng(p)
-        cached, uncached = self.make(rng, p), self.make(np.random.default_rng(p), p)
-        # node 0 is updated twice per row, so it must be rescored in between,
-        # and goes through more than two refreshes
-        for _ in range(_REFRESH_EVERY + 1):
+        params = self.params(rng, p)
+        state = GaussianFamily().make_state(params)
+        # the numpy oracle both reusing the deviations of its last winner
+        # search (cached) and rescoring on every update (uncached)
+        cached, uncached = OracleGaussTrainState(params), OracleGaussTrainState(params)
+        # node 0 is updated twice per row, and goes through more than two refreshes
+        for _ in range(2 * _REFRESH_EVERY + 1):
             x = rng.normal(size=p, scale=2.0)
             a = rng.uniform(0.0, 0.5)
             cached.loglik_all(x)
             for k in (0, 2, 0):
+                state.update(k, x, a)
                 cached.update(k, x, a)
                 uncached.update(k, x.copy(), a)
-            for name in ("mus", "sigmas", "precs", "logdets"):
-                np.testing.assert_array_equal(getattr(cached, name), getattr(uncached, name))
-            np.testing.assert_array_equal(cached.sigmas, cached.sigmas.transpose(0, 2, 1))
-            inv = np.linalg.inv(cached.sigmas)
+            assert_matches_oracle(state, cached)
+            assert_matches_oracle(state, uncached)
+            np.testing.assert_array_equal(state.sigmas, state.sigmas.transpose(0, 2, 1))
+            inv = np.linalg.inv(state.sigmas)
             scale = np.abs(inv).max(axis=(1, 2))  # relative to each matrix, not entry
-            assert np.all(np.abs(cached.precs - inv).max(axis=(1, 2)) <= 1e-9 * scale)
-            sign, logdet = np.linalg.slogdet(cached.sigmas)
+            assert np.all(np.abs(state.precs - inv).max(axis=(1, 2)) <= 1e-9 * scale)
+            sign, logdet = np.linalg.slogdet(state.sigmas)
             assert np.all(sign == 1)
-            np.testing.assert_allclose(cached.logdets, logdet, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(state.logdets, logdet, rtol=0, atol=1e-9)
 
     def test_refresh_on_cholesky_accepted_singular_covariance(self):
-        # a covariance captured from a collapsing node: Cholesky accepts it,
-        # while an LU inverse reports it singular
-        sigma = np.array(
-            [
-                [0.08937363124512407, -0.0727293143510449],
-                [-0.0727293143510449, 0.059184718045812726],
-            ]
-        )
+        sigma = CHOLESKY_ACCEPTED_SINGULAR
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(sigma)
         state = GaussianFamily().make_state([GaussParams([0.3, -0.2], sigma)])
@@ -154,6 +187,148 @@ class TestTrainState:
             state.update(0, x, 0.0)
         np.testing.assert_array_equal(state.sigmas[0], sigma)
         assert np.all(np.isfinite(state.precs)) and np.all(np.isfinite(state.logdets))
+
+    def test_rejects_arrays_the_kernel_cannot_read(self):
+        rng = np.random.default_rng(0)
+        state = GaussianFamily().make_state(self.params(rng, 2, M=2))
+        X = rng.normal(size=(10, 2))
+        table = neighbor_table(lattice_graph(1, 2), [0, 1])
+        sched = Schedule(tau_max=4)
+        alphas, radii = schedule_alphas(sched), schedule_radii(sched)
+        with pytest.raises(ValueError):  # wrong dtype
+            state.run(X, np.arange(4, dtype=np.int32), alphas, radii, table)
+        with pytest.raises(ValueError):  # a row that is not there
+            state.run(X, np.array([0, 1, 2, 10]), alphas, radii, table)
+        with pytest.raises(ValueError):  # wrong length
+            state.run(X, np.arange(4), alphas[:3], radii, table)
+        with pytest.raises(ValueError):  # wrong dimension
+            state.run(X[:, :1], np.arange(4), alphas, radii, table)
+        with pytest.raises(ValueError):
+            state.update(0, np.zeros(3), 0.1)
+        state.sigmas = np.asfortranarray(state.sigmas)
+        with pytest.raises(ValueError):
+            state.update(0, np.zeros(2), 0.1)
+
+
+def node_updates(winners, table, radii) -> np.ndarray:
+    """How often each node was updated, from a run's winners."""
+    counts = np.zeros(len(table.ptr) - 1, dtype=int)
+    for c, r in zip(winners, radii):
+        row = slice(table.ptr[c], table.ptr[c + 1])
+        counts[table.idx[row][table.hops[row] <= r]] += 1
+    return counts
+
+
+class TestKernelMatchesOracle:
+    """A whole training cycle in the kernel against the numpy oracle state:
+    identical winners, bitwise means and covariances."""
+
+    @staticmethod
+    def run_both(X, params, steps, rng, update_sigma=True, r1=2.0):
+        graph = lattice_graph(2, 3, "hexagonal")
+        table = neighbor_table(graph, list(range(len(params))))
+        sched = Schedule(r1=r1, tau_max=steps)
+        args = (X, rng.integers(len(X), size=steps), schedule_alphas(sched), schedule_radii(sched), table)
+        state = GaussianFamily(update_sigma).make_state(params)
+        oracle = OracleGaussTrainState(params, update_sigma)
+        winners = state.run(*args)
+        np.testing.assert_array_equal(winners, oracle.run(*args))
+        assert_matches_oracle(state, oracle)
+        return winners, node_updates(winners, table, args[3])
+
+    @pytest.mark.parametrize("update_sigma", [True, False])
+    @pytest.mark.parametrize("p", [1, 2, 5, 12])
+    def test_random_cycles(self, p, update_sigma):
+        rng = np.random.default_rng(100 + p)
+        centers = rng.normal(size=(4, p), scale=3.0)
+        X = centers[rng.integers(4, size=600)] + rng.normal(size=(600, p)) * rng.uniform(0.2, 2.0, size=p)
+        params = [GaussParams(X[i], random_pd_matrix(rng, p)) for i in rng.choice(600, 6, replace=False)]
+        _, updates = self.run_both(X, params, 1500, rng, update_sigma)
+        assert updates.min() > 2 * _REFRESH_EVERY  # every node crossed at least two refreshes
+
+    def test_cholesky_accepted_singular_covariance(self):
+        rng = np.random.default_rng(7)
+        params = [GaussParams(rng.normal(size=2), CHOLESKY_ACCEPTED_SINGULAR) for _ in range(6)]
+        X = rng.normal(size=(200, 2)) * 0.3
+        _, updates = self.run_both(X, params, 400, rng)
+        assert updates.max() > _REFRESH_EVERY
+
+    def test_ties_go_to_the_first_node(self):
+        rng = np.random.default_rng(9)
+        theta = GaussParams(rng.normal(size=3), random_pd_matrix(rng, 3))
+        X = rng.normal(size=(100, 3))
+        # hard phase only: the untrained nodes stay exact twins, so a node
+        # can win only after every node before it has won
+        winners, _ = self.run_both(X, [theta] * 6, 200, rng, r1=0.5)
+        first_wins = [int(k) for k in dict.fromkeys(winners.tolist())]
+        assert first_wins == list(range(len(first_wins))) and len(first_wins) > 2
+
+    def test_covariance_that_exhausts_the_jitter_ladder(self):
+        rng = np.random.default_rng(8)
+        params = [GaussParams(rng.normal(size=2), np.eye(2)) for _ in range(6)]
+        X = rng.normal(size=(50, 2))
+        graph = lattice_graph(2, 3, "hexagonal")
+        sched = Schedule(r1=3.0, tau_max=5)  # every node is updated on the first step
+        args = (X, rng.integers(50, size=5), schedule_alphas(sched), schedule_radii(sched), neighbor_table(graph, list(range(6))))
+        for state in (GaussianFamily().make_state(params), OracleGaussTrainState(params)):
+            state.sigmas[4] = np.diag([1.0, -100.0])  # indefinite: no jitter helps
+            state.ages[4] = _REFRESH_EVERY
+            with pytest.raises(SingularModelError, match="after maximal jitter"):
+                state.run(*args)
+
+
+class TestKernelBuild:
+    """Compile on first use into a cache keyed by source and command."""
+
+    def test_second_load_reuses_the_cached_library(self, tmp_path, monkeypatch):
+        load_kernel(cache_dir=tmp_path)
+        (built,) = tmp_path.iterdir()
+        stamp = built.stat().st_mtime_ns
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("compiled a second time")
+
+        monkeypatch.setattr(gaussian.subprocess, "run", no_compiler)
+        lib = load_kernel(cache_dir=tmp_path)
+        assert lib.gauss_train_cycle is not None
+        assert list(tmp_path.iterdir()) == [built] and built.stat().st_mtime_ns == stamp
+
+    def test_name_hashes_source_and_command(self, tmp_path):
+        source = gaussian._KERNEL_SOURCE.read_bytes()
+        name = kernel_path(source, "cc", tmp_path)
+        assert name == kernel_path(source, "cc", tmp_path)
+        assert name != kernel_path(source + b"\n", "cc", tmp_path)
+        assert name != kernel_path(source, "gcc", tmp_path)
+        assert name.parent == tmp_path and name.suffix == ".so"
+
+    def test_two_processes_build_an_empty_cache_at_once(self, tmp_path):
+        src = str(Path(gaussian.__file__).parents[1])
+        code = (
+            "import sys; from smlsom.gaussian import load_kernel; "
+            "lib = load_kernel(cache_dir=sys.argv[1]); print(lib.gauss_train_cycle is not None)"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        procs = [
+            subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env, stdout=subprocess.PIPE, text=True)
+            for _ in range(2)
+        ]
+        outs = [proc.communicate(timeout=120)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert outs == ["True\n", "True\n"]
+        (built,) = tmp_path.iterdir()  # one library, no temporary files left
+        assert built.suffix == ".so"
+
+    def test_missing_compiler_raises_a_clear_error(self, tmp_path):
+        cc = str(tmp_path / "no-such-cc")
+        with pytest.raises(SmlsomError, match="C compiler") as info:
+            load_kernel(cc=cc, cache_dir=tmp_path / "cache")
+        assert f"{cc} -O2 -ffp-contract=off" in str(info.value)
+        assert not any((tmp_path / "cache").iterdir())
+
+    def test_failed_compile_shows_the_command(self, tmp_path):
+        with pytest.raises(SmlsomError, match="`false -O2"):
+            load_kernel(cc="false", cache_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
 
 
 class TestBatch:

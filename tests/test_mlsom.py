@@ -15,6 +15,8 @@ from smlsom import (
     schedule_alpha,
 )
 
+from oracles import OracleGaussianFamily, random_pd_matrix
+
 FAMILY = GaussianFamily()
 
 
@@ -125,6 +127,29 @@ class TestTrain:
             for theta in params.values():
                 np.testing.assert_array_equal(theta.sigma, theta.sigma.T)
                 assert np.linalg.eigvalsh(theta.sigma).min() > -1e-10
+
+
+    @pytest.mark.parametrize("update_sigma", [True, False])
+    def test_matches_the_numpy_training_state(self, update_sigma):
+        # ids with gaps, as after deletions: winners are logged as ids
+        rng = np.random.default_rng(14)
+        data = Dataset(rng.normal(size=(300, 3)) * [1.0, 2.0, 0.5])
+        g = lattice_graph(3, 3, "hexagonal")
+        for m in (0, 4, 7):
+            g.remove_node(m)
+        params = {m: GaussParams(rng.normal(size=3), random_pd_matrix(rng, 3)) for m in g.nodes}
+        sched = Schedule(r1=2.0, tau_max=600)
+        runs = []
+        for family in (GaussianFamily(update_sigma), OracleGaussianFamily(update_sigma)):
+            winners = []
+            out = mlsom_train(data, g, params, sched, np.random.default_rng(9), family, winner_log=winners)
+            runs.append((winners, out))
+        (w1, out1), (w2, out2) = runs
+        assert w1 == w2 and set(w1) <= set(g.nodes) and len(set(w1)) > 1
+        assert all(type(m) is int for m in w1)
+        for m in g.nodes:
+            np.testing.assert_array_equal(out1[m].mu, out2[m].mu)
+            np.testing.assert_array_equal(out1[m].sigma, out2[m].sigma)
 
 
 class TestKohonenReduction:
