@@ -1,13 +1,19 @@
-/* Gaussian training kernel: one whole stochastic training cycle per call.
+/* Training kernels: one whole stochastic training cycle per call, for the
+ * Gaussian and the multinomial node families.
  *
- * Loaded through ctypes by smlsom/gaussian.py, which compiles this file on
+ * Loaded through ctypes by smlsom/_kernel.py, which compiles this file on
  * first use with -O2 -ffp-contract=off (no fused multiply-adds, no
  * fast-math), so every expression rounds as written.
  *
- * Node state is stacked and updated in place: means (M x p), covariances
- * and precisions (M x p x p), log-determinants (M) and refresh ages (M).
- * Each step scores the drawn row under every node, takes the first maximum
- * as the winner, and co-updates the winner's neighbours within the radius:
+ * Both cycles take the same inputs: the n x p data, the rows drawn for each
+ * step, per-step rates and radii, and a CSR table of each node's
+ * neighbours sorted by (hops, index). Each step scores the drawn row under
+ * every node, takes the first maximum as the winner, and co-updates the
+ * winner's neighbours within the radius. Node state is stacked and updated
+ * in place.
+ *
+ * Gaussian nodes hold means (M x p), covariances and precisions
+ * (M x p x p), log-determinants (M) and refresh ages (M):
  *
  *   mu'    = mu + a d                         d = x - mu, q = d' P d
  *   Sigma' = Sigma + a ((1 - a) d d' - Sigma)
@@ -17,9 +23,17 @@
  * A node is re-factorized by Cholesky after `refresh_every` rank-one
  * updates, or at once when g is not finite and positive. A covariance that
  * Cholesky rejects gets the jitter ladder eps * trace/p on its diagonal.
+ *
+ * Multinomial nodes hold probabilities theta (M x p) and their logs. A row
+ * x with total T scores coef + log(theta) . x, where the caller passes
+ * coef = log T! - sum log x_i! for every step. A row with T > 0 moves each
+ * updated node to theta + a (x / T - theta), floored and divided by its
+ * sum; a row with T = 0 updates nothing.
+ *
  * The element-wise steps and the summation orders follow the numpy
- * expressions they replace (einsum, pairwise sums), so means and
- * covariances come out bitwise equal to numpy's whenever winners agree.
+ * expressions they replace (einsum, pairwise sums, OpenBLAS's dgemv), so
+ * means, covariances and probabilities come out bitwise equal to numpy's
+ * whenever winners agree.
  */
 
 #include <math.h>
@@ -68,34 +82,79 @@ static double quad_form(int64_t p, const double *d, const double *P)
     return q;
 }
 
-/* Row i of P d, summed the way the OpenBLAS dgemv that numpy calls sums it
-   on an AVX-512 x86-64 host: four lanes over blocks of four columns,
-   accumulated with fused multiply-adds and reduced as (l0 + l2) + (l1 + l3),
-   then the last p % 4 columns. Measured bitwise equal for p <= 8 there.
-   The order matters when a near-singular precision turns the last bits of
-   P d into visible differences of the Sherman-Morrison step. */
-static double matvec_row(int64_t p, const double *Pi, const double *d)
+/* Dot product of a and x as OpenBLAS's dgemv kernels for an AVX2 or
+   AVX-512 x86-64 host sum one output: the first p - p % 4 entries go to
+   `lanes` running sums (lane j takes entries j, j + lanes, ...), each
+   started from its first product and continued with fused multiply-adds
+   when `fused`, reduced as (l0 + l2) + (l1 + l3) for four lanes and
+   l0 + l1 for two; the last p % 4 entries are then added as the kernels' C
+   tail adds them. */
+static inline double lane_dot(int64_t p, const double *a, const double *x, int lanes, int fused)
 {
     int64_t m1 = p - p % 4, j;
     double y = 0.0;
     if (m1 > 0) {
         double l[4];
-        for (j = 0; j < 4; j++)
-            l[j] = Pi[j] * d[j];
-        for (int64_t b = 4; b < m1; b += 4)
-            for (j = 0; j < 4; j++)
-                l[j] = fma(Pi[b + j], d[b + j], l[j]);
-        y = (l[0] + l[2]) + (l[1] + l[3]);
+        for (j = 0; j < lanes; j++)
+            l[j] = a[j] * x[j];
+        for (int64_t b = lanes; b < m1; b += lanes)
+            for (j = 0; j < lanes; j++)
+                l[j] = fused ? fma(a[b + j], x[b + j], l[j]) : l[j] + a[b + j] * x[b + j];
+        y = lanes == 4 ? (l[0] + l[2]) + (l[1] + l[3]) : l[0] + l[1];
     }
     switch (p - m1) {
     case 1:
-        return fma(Pi[m1], d[m1], y);
+        return fma(a[m1], x[m1], y);
     case 2:
-        return y + fma(Pi[m1], d[m1], Pi[m1 + 1] * d[m1 + 1]);
+        return y + fma(a[m1], x[m1], a[m1 + 1] * x[m1 + 1]);
     case 3:
-        return y + fma(Pi[m1 + 2], d[m1 + 2], fma(Pi[m1], d[m1], Pi[m1 + 1] * d[m1 + 1]));
+        return y + fma(a[m1 + 2], x[m1 + 2], fma(a[m1], x[m1], a[m1 + 1] * x[m1 + 1]));
     }
     return y;
+}
+
+/* Row i of P d in the four fused lanes of OpenBLAS's 4x4 dgemv kernel,
+   numpy's order for every row when p <= 8 (for larger p numpy sums the
+   last p % 4 rows as `gemv_row` does). The order matters when a
+   near-singular precision turns the last bits of P d into visible
+   differences of the Sherman-Morrison step. */
+static double matvec_row(int64_t p, const double *Pi, const double *d)
+{
+    return lane_dot(p, Pi, d, 4, 1);
+}
+
+/* Row m of the product A x of an M x p row-major matrix and a p-vector, in
+   the order numpy's matmul sums it through OpenBLAS (measured bitwise for
+   M = 1..25 and p = 2..40 with OpenBLAS 0.3.31 on an AVX-512 host): rows in
+   the blocks of four that the 4x4 kernel takes use four fused lanes; of
+   the last M % 4 rows, the 4x2 kernel takes two with two plain lanes and
+   the 4x1 kernel a last odd one with four plain lanes. With M = 1 numpy
+   calls ddot, a sequential fused sum for p < 16 (the winner search does not
+   depend on it, as one node always wins). */
+static double gemv_row(int64_t M, int64_t m, int64_t p, const double *a, const double *x)
+{
+    if (M == 1) {
+        double y = 0.0;
+        for (int64_t i = 0; i < p; i++)
+            y = fma(a[i], x[i], y);
+        return y;
+    }
+    int64_t full = M - M % 4;
+    if (m < full)
+        return lane_dot(p, a, x, 4, 1);
+    if (M % 4 >= 2 && m < full + 2)
+        return lane_dot(p, a, x, 2, 0);
+    return lane_dot(p, a, x, 4, 0);
+}
+
+/* np.argmax over M values: the first maximum, or the first NaN. */
+static int64_t first_max(const double *ll, int64_t M)
+{
+    int64_t c = 0;
+    for (int64_t m = 0; m < M && !isnan(ll[c]); m++)
+        if (ll[m] > ll[c] || isnan(ll[m]))
+            c = m;
+    return c;
 }
 
 /* Lower Cholesky factor of the symmetric matrix A into L (row-major), in
@@ -254,10 +313,7 @@ int64_t gauss_train_cycle(int64_t p, int64_t M, const double *X, int64_t steps,
             quad[m] = quad_form(p, d, precs + m * p * p);
             ll[m] = cst - 0.5 * (logdets[m] + quad[m]);
         }
-        int64_t c = 0; /* np.argmax: the first maximum, or the first NaN */
-        for (int64_t m = 0; m < M && !isnan(ll[c]); m++)
-            if (ll[m] > ll[c] || isnan(ll[m]))
-                c = m;
+        int64_t c = first_max(ll, M);
         winners[t] = c;
 
         double a = alphas[t];
@@ -275,4 +331,65 @@ int64_t gauss_train_cycle(int64_t p, int64_t M, const double *X, int64_t steps,
     }
     free(buf);
     return status;
+}
+
+/* Move one multinomial node toward the row x with total T > 0 at rate a,
+   as numpy does: theta + a (x / T - theta), floored at `floor`
+   (np.maximum), divided by its pairwise sum, then the logs. */
+static void multinom_step(int64_t p, const double *x, double T, double a, double floor,
+                          double *theta, double *logtheta)
+{
+    for (int64_t i = 0; i < p; i++) {
+        double v = theta[i] + a * (x[i] / T - theta[i]);
+        theta[i] = v < floor ? floor : v; /* keeps a NaN, as np.maximum does */
+    }
+    double s = pairwise_sum(theta, p, 1);
+    for (int64_t i = 0; i < p; i++) {
+        theta[i] = theta[i] / s;
+        logtheta[i] = log(theta[i]);
+    }
+}
+
+/* One update of multinomial node k from the count row x. */
+int64_t multinom_update_node(int64_t p, int64_t k, const double *x, double a, double floor,
+                             double *thetas, double *logthetas)
+{
+    double T = pairwise_sum(x, p, 1);
+    if (T != 0.0)
+        multinom_step(p, x, T, a, floor, thetas + k * p, logthetas + k * p);
+    return KERNEL_OK;
+}
+
+/* A whole multinomial training cycle: the arguments up to nb_hops are those
+   of gauss_train_cycle; coef[t] is the multinomial coefficient of step t's
+   row and `floor` the probability floor. Returns KERNEL_OK or
+   KERNEL_NOMEM. */
+int64_t multinom_train_cycle(int64_t p, int64_t M, const double *X, int64_t steps,
+                             const int64_t *draws, const double *alphas, const double *radii,
+                             const int64_t *nb_ptr, const int64_t *nb_idx, const int64_t *nb_hops,
+                             const double *coef, double floor, double *thetas, double *logthetas,
+                             int64_t *winners)
+{
+    double *ll = malloc((size_t)M * sizeof(double));
+    if (!ll)
+        return KERNEL_NOMEM;
+    for (int64_t t = 0; t < steps; t++) {
+        const double *x = X + draws[t] * p;
+        for (int64_t m = 0; m < M; m++)
+            ll[m] = coef[t] + gemv_row(M, m, p, logthetas + m * p, x);
+        int64_t c = first_max(ll, M);
+        winners[t] = c;
+
+        double T = pairwise_sum(x, p, 1);
+        if (T == 0.0)
+            continue;
+        for (int64_t j = nb_ptr[c]; j < nb_ptr[c + 1]; j++) {
+            if ((double)nb_hops[j] > radii[t])
+                break;
+            int64_t k = nb_idx[j];
+            multinom_step(p, x, T, alphas[t], floor, thetas + k * p, logthetas + k * p);
+        }
+    }
+    free(ll);
+    return KERNEL_OK;
 }

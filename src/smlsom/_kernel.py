@@ -1,0 +1,146 @@
+"""Build, load and call the compiled training kernel (``_kernel.c``).
+
+One shared library holds both families' training cycles. It is compiled on
+first use with the system C compiler ``cc`` into ``__pycache__`` next to
+this file, under a name that hashes the source and the compile command, so
+later processes load the cached library. Without a working compiler,
+training raises ``SmlsomError``; there is no numpy fallback.
+
+The kernel reads and writes numpy buffers through bare pointers, so every
+array handed to it goes through ``buffer``, and a cycle's draws and
+neighbor table through ``cycle_args``, which check what ctypes cannot.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from .errors import SingularModelError, SmlsomError
+
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+_CACHE_DIR = Path(__file__).with_name("__pycache__")
+_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_KERNEL_OK, _KERNEL_NOMEM = -1, -2  # kernel status codes; any other is a singular node's index
+_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+# p, M, X, steps, draws, alphas, radii and the neighbor table's ptr, idx, hops
+_CYCLE_ARGTYPES = [_I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]
+_GAUSS_STATE = [ctypes.c_int, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR]
+_MULTINOM_STATE = [_F64, _PTR, _PTR]  # floor, thetas, logthetas
+_ENTRY_POINTS = {
+    "gauss_update_node": [_I64, _I64, _PTR, _F64, *_GAUSS_STATE],
+    "gauss_train_cycle": [*_CYCLE_ARGTYPES, _F64, *_GAUSS_STATE, _PTR],
+    "multinom_update_node": [_I64, _I64, _PTR, _F64, *_MULTINOM_STATE],
+    "multinom_train_cycle": [*_CYCLE_ARGTYPES, _PTR, *_MULTINOM_STATE, _PTR],
+}
+_lib = None  # the kernel, loaded by the first training state
+
+
+def kernel_path(source: bytes, cc: str, cache_dir: Path) -> Path:
+    """Cache file of ``source`` compiled by ``cc``; its name hashes the
+    source and the compile command."""
+    command = " ".join((cc, *_CC_FLAGS, "-lm")).encode()
+    tag = hashlib.sha256(source + b"\0" + command).hexdigest()[:16]
+    return Path(cache_dir) / f"_kernel.{tag}.so"
+
+
+def load_kernel(cc: str = "cc", cache_dir: Path | None = None) -> ctypes.CDLL:
+    """Load the training kernel, compiling it first when ``cache_dir``
+    (default: ``__pycache__`` next to this module) holds no build of the
+    current source by ``cc``.
+
+    The compiler writes to a temporary name that is then renamed into
+    place, so processes building at the same time do not clash.
+    """
+    if cache_dir is None:
+        cache_dir = _CACHE_DIR
+    path = kernel_path(_KERNEL_SOURCE.read_bytes(), cc, cache_dir)
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
+        os.close(fd)
+        cmd = [cc, *_CC_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"]
+        try:
+            try:
+                proc = subprocess.run(cmd, capture_output=True, text=True)
+            except OSError as exc:
+                proc = subprocess.CompletedProcess(cmd, None, "", str(exc))
+            if proc.returncode != 0:
+                raise SmlsomError(
+                    "cannot build the training kernel; it needs a C compiler. "
+                    f"`{' '.join(cmd)}` failed:\n{proc.stderr.strip()}"
+                )
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(str(path))
+    for name, argtypes in _ENTRY_POINTS.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, _I64
+    return lib
+
+
+def kernel() -> ctypes.CDLL:
+    """The kernel of this process, loaded (and built if need be) once."""
+    global _lib
+    if _lib is None:
+        _lib = load_kernel()
+    return _lib
+
+
+def buffer(a: np.ndarray, dtype, shape: tuple, out: bool = False) -> int:
+    """Address of ``a``, which the kernel reads (and writes when ``out``) as
+    an aligned C-contiguous ``dtype`` array of ``shape``; anything else
+    raises, since ctypes pointers carry no type or bounds."""
+    flags = a.flags
+    if a.dtype != dtype or a.shape != shape or not (flags.c_contiguous and flags.aligned) or (out and not flags.writeable):
+        raise ValueError(
+            f"kernel needs a C-contiguous {np.dtype(dtype)} array of shape {shape}, "
+            f"got {a.dtype} of shape {a.shape}"
+        )
+    return a.ctypes.data
+
+
+def cycle_args(X, draws, alphas, radii, neighbors, M: int, p: int) -> tuple[np.ndarray, tuple]:
+    """Check one training cycle's inputs for M nodes in p dimensions.
+
+    Returns X as the kernel reads it, which the caller keeps alive during the
+    call, and the leading arguments of both ``*_train_cycle`` entry points:
+    p, M, X, steps, draws, alphas, radii and the neighbor table.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    n, steps = X.shape[0], len(draws)
+    if X.shape != (n, p) or draws.size and not 0 <= draws.min() <= draws.max() < n:
+        raise ValueError("draws must index rows of a matrix with one column per dimension")
+    n_links = len(neighbors.idx)
+    if neighbors.ptr[0] != 0 or neighbors.ptr[-1] != n_links or np.any(np.diff(neighbors.ptr) < 0):
+        raise ValueError("malformed neighbor table")
+    if n_links and not 0 <= neighbors.idx.min() <= neighbors.idx.max() < M:
+        raise ValueError("neighbor index out of range")
+    return X, (
+        p,
+        M,
+        buffer(X, np.float64, (n, p)),
+        steps,
+        buffer(draws, np.int64, (steps,)),
+        buffer(alphas, np.float64, (steps,)),
+        buffer(radii, np.float64, (steps,)),
+        buffer(neighbors.ptr, np.int64, (M + 1,)),
+        buffer(neighbors.idx, np.int64, (n_links,)),
+        buffer(neighbors.hops, np.int64, (n_links,)),
+    )
+
+
+def check_status(status: int):
+    """Raise for a kernel status other than OK."""
+    if status == _KERNEL_NOMEM:
+        raise MemoryError("training kernel could not allocate its buffers")
+    if status != _KERNEL_OK:
+        raise SingularModelError("covariance not positive definite after maximal jitter")

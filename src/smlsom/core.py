@@ -49,10 +49,13 @@ class Dataset:
         return self.values.shape[1]
 
     def validate_counts(self):
-        """Reject data that is not non-negative integral (multinomial mode)."""
+        """Reject data that is not non-negative integral, or that holds no
+        count at all (multinomial mode)."""
         v = self.values
         if np.any(v < 0) or np.any(v != np.floor(v)):
             raise DataError("multinomial family requires non-negative integer counts")
+        if not np.any(v):
+            raise DataError("multinomial family needs some counts; every row is all zero")
 
 
 class MapGraph:

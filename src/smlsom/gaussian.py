@@ -4,123 +4,34 @@ Log-likelihoods go through a Cholesky factorization; covariances that fail
 to factorize get an escalating diagonal jitter before a singular-model
 error is raised.
 
-Training runs in a compiled kernel (``_gauss_kernel.c``, loaded through
-ctypes): one call trains a whole cycle, winner search and neighbor updates
-included. The kernel does not factorize on every step. A moment step moves
-a covariance by a scaled rank-one term, Sigma' = (1-a)Sigma + a(1-a)dd^T,
-so the precision follows by Sherman-Morrison and the log-determinant by the
-matrix determinant lemma, both from the quadratic form d^T P d that the
-winner search has already computed. To bound round-off drift a node is
-re-factorized after every ``_REFRESH_EVERY`` rank-one updates, and at once
-when the lemma's factor 1 + a d^T P d is not finite and positive. Means and
-covariances move element-wise in the same order as ``_moment_step``.
-
-The kernel is compiled on first use with the system C compiler ``cc`` into
-``__pycache__`` next to this file, under a name that hashes the source and
-the compile command, so later processes load the cached library. Without a
-working compiler, training raises ``SmlsomError``.
+Training runs in the compiled kernel (``_kernel.c``, built and loaded by
+``_kernel``): one call trains a whole cycle, winner search and neighbor
+updates included. The kernel does not factorize on every step. A moment
+step moves a covariance by a scaled rank-one term,
+Sigma' = (1-a)Sigma + a(1-a)dd^T, so the precision follows by
+Sherman-Morrison and the log-determinant by the matrix determinant lemma,
+both from the quadratic form d^T P d that the winner search has already
+computed. To bound round-off drift a node is re-factorized after every
+``_REFRESH_EVERY`` rank-one updates, and at once when the lemma's factor
+1 + a d^T P d is not finite and positive. Means and covariances move
+element-wise in the same order as ``_moment_step``. Without a C compiler,
+training raises ``SmlsomError``.
 """
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .errors import SingularModelError, SmlsomError
+from ._kernel import buffer, check_status, cycle_args, kernel
+from .errors import SingularModelError
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _JITTER_STEPS = (1e-10, 1e-8, 1e-6)
 _SYM_TOL = 1e-10
 _REFRESH_EVERY = 50  # rank-one updates of a training-state node between factorizations
-
-_KERNEL_SOURCE = Path(__file__).with_name("_gauss_kernel.c")
-_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_KERNEL_OK, _KERNEL_NOMEM = -1, -2  # kernel status codes; any other is a singular node's index
-_I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-_STATE_ARGTYPES = [ctypes.c_int, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR]
-_lib = None  # the kernel, loaded by the first training state
-
-
-def kernel_path(source: bytes, cc: str, cache_dir: Path) -> Path:
-    """Cache file of ``source`` compiled by ``cc``; its name hashes the
-    source and the compile command."""
-    command = " ".join((cc, *_CC_FLAGS, "-lm")).encode()
-    tag = hashlib.sha256(source + b"\0" + command).hexdigest()[:16]
-    return Path(cache_dir) / f"_gauss_kernel.{tag}.so"
-
-
-def load_kernel(cc: str = "cc", cache_dir: Path | None = None) -> ctypes.CDLL:
-    """Load the training kernel, compiling it first when ``cache_dir``
-    (default: ``__pycache__`` next to this module) holds no build of the
-    current source by ``cc``.
-
-    The compiler writes to a temporary name that is then renamed into
-    place, so processes building at the same time do not clash.
-    """
-    if cache_dir is None:
-        cache_dir = Path(__file__).with_name("__pycache__")
-    path = kernel_path(_KERNEL_SOURCE.read_bytes(), cc, cache_dir)
-    if not path.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
-        os.close(fd)
-        cmd = [cc, *_CC_FLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"]
-        try:
-            try:
-                proc = subprocess.run(cmd, capture_output=True, text=True)
-            except OSError as exc:
-                proc = subprocess.CompletedProcess(cmd, None, "", str(exc))
-            if proc.returncode != 0:
-                raise SmlsomError(
-                    "cannot build the Gaussian training kernel; it needs a C compiler. "
-                    f"`{' '.join(cmd)}` failed:\n{proc.stderr.strip()}"
-                )
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    lib = ctypes.CDLL(str(path))
-    lib.gauss_update_node.argtypes = [_I64, _I64, _PTR, _F64, *_STATE_ARGTYPES]
-    lib.gauss_train_cycle.argtypes = [
-        _I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, *_STATE_ARGTYPES, _PTR
-    ]
-    lib.gauss_update_node.restype = lib.gauss_train_cycle.restype = _I64
-    return lib
-
-
-def _kernel() -> ctypes.CDLL:
-    global _lib
-    if _lib is None:
-        _lib = load_kernel()
-    return _lib
-
-
-def _buffer(a: np.ndarray, dtype, shape: tuple, out: bool = False) -> int:
-    """Address of ``a``, which the kernel reads (and writes when ``out``) as
-    an aligned C-contiguous ``dtype`` array of ``shape``; anything else
-    raises, since ctypes pointers carry no type or bounds."""
-    flags = a.flags
-    if a.dtype != dtype or a.shape != shape or not (flags.c_contiguous and flags.aligned) or (out and not flags.writeable):
-        raise ValueError(
-            f"kernel needs a C-contiguous {np.dtype(dtype)} array of shape {shape}, "
-            f"got {a.dtype} of shape {a.shape}"
-        )
-    return a.ctypes.data
-
-
-def _check_status(status: int):
-    if status == _KERNEL_NOMEM:
-        raise MemoryError("Gaussian training kernel could not allocate its buffers")
-    if status != _KERNEL_OK:
-        raise SingularModelError("covariance not positive definite after maximal jitter")
 
 
 def _factorize(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +144,7 @@ class _GaussTrainState:
     """
 
     def __init__(self, params_list: list[GaussParams], update_sigma: bool = True):
-        self._lib = _kernel()
+        self._lib = kernel()
         self.update_sigma = update_sigma
         p = params_list[0].p
         M = len(params_list)
@@ -253,13 +164,13 @@ class _GaussTrainState:
         return (
             int(self.update_sigma),
             _REFRESH_EVERY,
-            _buffer(self._jitter, np.float64, (len(_JITTER_STEPS),)),
+            buffer(self._jitter, np.float64, (len(_JITTER_STEPS),)),
             len(_JITTER_STEPS),
-            _buffer(self.mus, np.float64, (M, p), out=True),
-            _buffer(self.sigmas, np.float64, (M, p, p), out=True),
-            _buffer(self.precs, np.float64, (M, p, p), out=True),
-            _buffer(self.logdets, np.float64, (M,), out=True),
-            _buffer(self.ages, np.int64, (M,), out=True),
+            buffer(self.mus, np.float64, (M, p), out=True),
+            buffer(self.sigmas, np.float64, (M, p, p), out=True),
+            buffer(self.precs, np.float64, (M, p, p), out=True),
+            buffer(self.logdets, np.float64, (M,), out=True),
+            buffer(self.ages, np.int64, (M,), out=True),
         )
 
     def update(self, k: int, x: np.ndarray, a: float):
@@ -268,7 +179,7 @@ class _GaussTrainState:
         if not 0 <= k < M:
             raise IndexError(f"node index {k} out of range for {M} nodes")
         x = np.ascontiguousarray(x, dtype=np.float64)
-        _check_status(self._lib.gauss_update_node(p, int(k), _buffer(x, np.float64, (p,)), a, *self._state_args()))
+        check_status(self._lib.gauss_update_node(p, int(k), buffer(x, np.float64, (p,)), a, *self._state_args()))
 
     def run(self, X, draws, alphas, radii, neighbors) -> np.ndarray:
         """Train one cycle: step t draws row ``draws[t]`` of X and updates
@@ -277,31 +188,14 @@ class _GaussTrainState:
         node's neighbors sorted by (hops, index). Returns each step's winner
         index."""
         M, p = self.mus.shape
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        n, steps = X.shape[0], len(draws)
-        if X.shape != (n, p) or draws.size and not 0 <= draws.min() <= draws.max() < n:
-            raise ValueError("draws must index rows of a matrix with one column per dimension")
-        n_links = len(neighbors.idx)
-        if neighbors.ptr[0] != 0 or neighbors.ptr[-1] != n_links or np.any(np.diff(neighbors.ptr) < 0):
-            raise ValueError("malformed neighbor table")
-        if n_links and not 0 <= neighbors.idx.min() <= neighbors.idx.max() < M:
-            raise ValueError("neighbor index out of range")
-        winners = np.empty(steps, dtype=np.int64)
-        _check_status(
+        X, args = cycle_args(X, draws, alphas, radii, neighbors, M, p)
+        winners = np.empty(len(draws), dtype=np.int64)
+        check_status(
             self._lib.gauss_train_cycle(
-                p,
-                M,
-                _buffer(X, np.float64, (n, p)),
-                steps,
-                _buffer(draws, np.int64, (steps,)),
-                _buffer(alphas, np.float64, (steps,)),
-                _buffer(radii, np.float64, (steps,)),
-                _buffer(neighbors.ptr, np.int64, (M + 1,)),
-                _buffer(neighbors.idx, np.int64, (n_links,)),
-                _buffer(neighbors.hops, np.int64, (n_links,)),
+                *args,
                 -0.5 * p * _LOG_2PI,
                 *self._state_args(),
-                _buffer(winners, np.int64, (steps,), out=True),
+                buffer(winners, np.int64, winners.shape, out=True),
             )
         )
         return winners
@@ -327,11 +221,18 @@ class GaussianFamily:
     def loglik_rows(self, X, theta: GaussParams) -> np.ndarray:
         return gauss_loglik_rows(X, theta)
 
+    def loglik_matrix(self, X, thetas: list[GaussParams]) -> np.ndarray:
+        return np.stack([gauss_loglik_rows(X, t) for t in thetas])
+
     def update(self, theta: GaussParams, x, a: float) -> GaussParams:
         return gauss_update(theta, x, a)
 
     def batch(self, samples) -> GaussParams:
         return gauss_batch(samples)
+
+    def usable_rows(self, X) -> np.ndarray:
+        """Which rows of X a batch fit learns from: all of them."""
+        return np.ones(len(X), dtype=bool)
 
     def df(self, p: int) -> int:
         return gauss_df(p)

@@ -29,11 +29,13 @@ def loglik_matrix(data: Dataset, params: dict, family) -> np.ndarray:
     Row k belongs to the k-th smallest live id (``sorted(params)[k]``). The
     matrix describes ``params`` as given: it is valid until the parameters
     change, that is for one cycle's classification, link cutting and
-    deletion scoring, all of which read it instead of rescoring.
+    deletion scoring, all of which read it instead of rescoring. The family
+    builds it (``loglik_matrix``), each row bitwise the ``loglik_rows`` of
+    its node, sharing what the rows have in common.
     """
     if not params:
         raise ValueError("empty node table")
-    return np.stack([family.loglik_rows(data.values, params[m]) for m in sorted(params)])
+    return family.loglik_matrix(data.values, [params[m] for m in sorted(params)])
 
 
 def ml_winners(ll: np.ndarray, ids) -> np.ndarray:
@@ -86,8 +88,8 @@ def mlsom_train(
     every node within the current neighborhood radius (hop distance on the
     graph) at the current rate. The draws, rates, radii and neighbor table
     are built once here; the family's training state (``make_state``) runs
-    the steps in one ``run`` call: the Gaussian state in its compiled
-    kernel, the multinomial state in a Python loop.
+    all the steps in one ``run`` call into the compiled kernel, which needs
+    a C compiler on first use (see ``smlsom._kernel``).
     """
     ids = sorted(params)
     if set(ids) != set(graph.nodes):

@@ -2,6 +2,15 @@
 
 Probabilities carry a small floor (with renormalization) so a count landing
 on a zero-probability category can never drive the log-likelihood to -inf.
+
+Training runs in the compiled kernel (``_kernel.c``, built and loaded by
+``_kernel``): one call trains a whole cycle. Numpy computes the
+multinomial coefficient of every drawn row once per cycle; the kernel
+scores each row under every node, moves the winner's neighbors toward the
+row's relative frequencies, floors and renormalizes them, and keeps their
+logs current. Probabilities come out bitwise equal to the same steps
+written in numpy whenever winners agree. Without a C compiler, training
+raises ``SmlsomError``.
 """
 
 from __future__ import annotations
@@ -10,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
+
+from ._kernel import buffer, check_status, cycle_args, kernel
 
 THETA_FLOOR = 1e-10
 
@@ -47,11 +58,22 @@ def multinom_loglik(x: np.ndarray, theta: MultinomParams) -> float:
     return float(coef + x @ np.log(theta.theta))
 
 
+def _log_coef(X: np.ndarray) -> np.ndarray:
+    """Log multinomial coefficient log T! - sum log x_i! of every row."""
+    return gammaln(X.sum(axis=1) + 1.0) - gammaln(X + 1.0).sum(axis=1)
+
+
 def multinom_loglik_rows(X: np.ndarray, theta: MultinomParams) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    totals = X.sum(axis=1)
-    coef = gammaln(totals + 1.0) - gammaln(X + 1.0).sum(axis=1)
-    return coef + X @ np.log(theta.theta)
+    return _log_coef(X) + X @ np.log(theta.theta)
+
+
+def multinom_loglik_matrix(X: np.ndarray, thetas: list[MultinomParams]) -> np.ndarray:
+    """Rows of ``multinom_loglik_rows`` for every node, bitwise, with the
+    coefficient computed once."""
+    X = np.asarray(X, dtype=float)
+    coef = _log_coef(X)
+    return np.stack([coef + X @ np.log(t.theta) for t in thetas])
 
 
 def multinom_update(theta: MultinomParams, x: np.ndarray, a: float) -> MultinomParams:
@@ -93,42 +115,50 @@ def multinom_df(p: int) -> int:
 
 
 class _MultinomTrainState:
-    """Stacked theta matrix plus cached logs for the training hot loop."""
+    """Stacked probabilities and their logs, updated in place by the kernel.
+
+    ``run`` trains a whole cycle in one kernel call; ``update`` applies one
+    node update through the same kernel routine.
+    """
 
     def __init__(self, params_list: list[MultinomParams]):
+        self._lib = kernel()
         self.thetas = np.stack([t.theta for t in params_list])
         self.logthetas = np.log(self.thetas)
 
-    def loglik_all(self, x: np.ndarray) -> np.ndarray:
-        total = x.sum()
-        coef = gammaln(total + 1.0) - gammaln(x + 1.0).sum()
-        return coef + self.logthetas @ x
+    def _state_args(self) -> tuple:
+        M, p = self.thetas.shape
+        return (
+            2.0 * THETA_FLOOR,
+            buffer(self.thetas, np.float64, (M, p), out=True),
+            buffer(self.logthetas, np.float64, (M, p), out=True),
+        )
 
     def update(self, k: int, x: np.ndarray, a: float):
-        total = x.sum()
-        if total == 0:
-            return
-        theta = self.thetas[k] + a * (x / total - self.thetas[k])
-        theta = np.maximum(theta, 2.0 * THETA_FLOOR)
-        theta /= theta.sum()
-        self.thetas[k] = theta
-        self.logthetas[k] = np.log(theta)
+        """Move node k toward the count row x at rate a (an all-zero row
+        leaves it as it is)."""
+        M, p = self.thetas.shape
+        if not 0 <= k < M:
+            raise IndexError(f"node index {k} out of range for {M} nodes")
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        check_status(self._lib.multinom_update_node(p, int(k), buffer(x, np.float64, (p,)), a, *self._state_args()))
 
     def run(self, X, draws, alphas, radii, neighbors) -> np.ndarray:
-        """Train one cycle step by step (see ``smlsom.mlsom_train``), through
-        ``self.update``; returns each step's winner index."""
-        ptr, idx, hops = (a.tolist() for a in neighbors)
-        neigh = [list(zip(hops[a:b], idx[a:b])) for a, b in zip(ptr, ptr[1:])]
-        winners = []
-        for i, alpha, radius in zip(draws.tolist(), alphas.tolist(), radii.tolist()):
-            x = X[i]
-            c = int(self.loglik_all(x).argmax())
-            winners.append(c)
-            for d, k in neigh[c]:
-                if d > radius:
-                    break
-                self.update(k, x, alpha)
-        return np.array(winners, dtype=np.int64)
+        """Train one cycle (see ``smlsom.mlsom_train``); returns each step's
+        winner index."""
+        M, p = self.thetas.shape
+        X, args = cycle_args(X, draws, alphas, radii, neighbors, M, p)
+        coef = _log_coef(X[draws])
+        winners = np.empty(len(draws), dtype=np.int64)
+        check_status(
+            self._lib.multinom_train_cycle(
+                *args,
+                buffer(coef, np.float64, winners.shape),
+                *self._state_args(),
+                buffer(winners, np.int64, winners.shape, out=True),
+            )
+        )
+        return winners
 
     def export(self) -> list[MultinomParams]:
         return [MultinomParams(t) for t in self.thetas]
@@ -148,11 +178,18 @@ class MultinomialFamily:
     def loglik_rows(self, X, theta: MultinomParams) -> np.ndarray:
         return multinom_loglik_rows(X, theta)
 
+    def loglik_matrix(self, X, thetas: list[MultinomParams]) -> np.ndarray:
+        return multinom_loglik_matrix(X, thetas)
+
     def update(self, theta: MultinomParams, x, a: float) -> MultinomParams:
         return multinom_update(theta, x, a)
 
     def batch(self, samples) -> MultinomParams:
         return multinom_batch(samples)
+
+    def usable_rows(self, X) -> np.ndarray:
+        """Which rows of X a batch fit learns from: those with a count."""
+        return np.asarray(X, dtype=float).sum(axis=1) > 0
 
     def df(self, p: int) -> int:
         return multinom_df(p)

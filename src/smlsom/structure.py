@@ -147,9 +147,10 @@ def try_delete_node(
     deletion, the deleted node's samples are reclassified by maximum
     likelihood among the survivors, every survivor is re-estimated by the
     batch method-of-moments fit on its updated sample set (a survivor left
-    with no samples keeps its previous parameters), and the resulting map is
-    scored. On adoption the deleted node's former neighbors are wired into a
-    clique so no node is left isolated.
+    with no samples, or none a batch fit can learn from, keeps its previous
+    parameters), and the resulting map is scored. On adoption the deleted
+    node's former neighbors are wired into a clique so no node is left
+    isolated.
 
     Only the *receivers*, the survivors that win some of the deleted node's
     samples, change from one candidate to the next. They are refitted and
@@ -166,15 +167,19 @@ def try_delete_node(
         return DeletionResult(graph, params, assignment, current, current, None)
 
     X = data.values
+    usable = family.usable_rows(X)
 
     def fit(l, idx):
         """Batch fit of node l on rows idx and their neg-loglik part (with
         no rows the node keeps its parameters and adds 0.0, which leaves the
-        running total bitwise unchanged, as skipping it does)."""
+        running total bitwise unchanged, as skipping it does). Rows a batch
+        fit cannot learn from, such as all-zero counts, also leave the
+        parameters as they are; their part is still scored under them."""
         if not idx.size:
             return params[l], 0.0
-        theta = family.batch(X[idx])
-        return theta, float(family.loglik_rows(X[idx], theta).sum())
+        rows = X[idx]
+        theta = family.batch(rows) if usable[idx].any() else params[l]
+        return theta, float(family.loglik_rows(rows, theta).sum())
 
     members = {l: assignment.members(l) for l in ids}
     # survivor id -> fit on its current members; filled on first use, so a

@@ -4,10 +4,12 @@ Everything here deliberately avoids the production code paths: dense
 inverses instead of Cholesky factors, exact integer factorials, explicit
 pair enumeration, naive per-sample summation. The exceptions are
 references that a production path must match bit for bit, such as the
-numpy Gaussian training state that the compiled kernel replaced.
+numpy Gaussian and multinomial training states that the compiled kernel
+replaced.
 """
 
 import math
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -167,7 +169,10 @@ def oracle_try_delete_node(data, graph, assignment, params, family):
             if l == m:
                 continue
             idx = cand_assign.members(l)
-            cand_params[l] = family.batch(X[idx]) if idx.size else params[l]
+            rows = X[idx]
+            # nothing to learn from: no rows, or for the multinomial only all-zero counts
+            barren = not rows.size or family.name == "multinomial" and not rows.any()
+            cand_params[l] = params[l] if barren else family.batch(rows)
         cand = score(cand_assign, cand_params)
         if best is None or cand.total < best[0]:
             best = (cand.total, m, cand_params, cand_assign, cand)
@@ -288,19 +293,82 @@ class OracleGaussTrainState:
         return [GaussParams(self.mus[k], self.sigmas[k]) for k in range(len(self.mus))]
 
 
-class OracleGaussianFamily:
-    """The Gaussian family with the numpy training state in place of the
-    compiled kernel."""
+class OracleMultinomTrainState:
+    """The numpy multinomial training state, step by step in Python: stacked
+    probabilities plus cached logs."""
 
-    def __init__(self, update_sigma=True):
-        from smlsom import GaussianFamily
+    def __init__(self, params_list):
+        self.thetas = np.stack([t.theta for t in params_list])
+        self.logthetas = np.log(self.thetas)
 
-        self._inner = GaussianFamily(update_sigma)
-        self.update_sigma = update_sigma
-        self.name = self._inner.name
+    def loglik_all(self, x):
+        from scipy.special import gammaln
+
+        total = x.sum()
+        coef = gammaln(total + 1.0) - gammaln(x + 1.0).sum()
+        return coef + self.logthetas @ x
+
+    def update(self, k, x, a):
+        from smlsom.multinomial import THETA_FLOOR
+
+        total = x.sum()
+        if total == 0:
+            return
+        theta = self.thetas[k] + a * (x / total - self.thetas[k])
+        theta = np.maximum(theta, 2.0 * THETA_FLOOR)
+        theta /= theta.sum()
+        self.thetas[k] = theta
+        self.logthetas[k] = np.log(theta)
+
+    def run(self, X, draws, alphas, radii, neighbors):
+        """The training loop of one cycle, one Python step at a time."""
+        ptr, idx, hops = (a.tolist() for a in neighbors)
+        winners = []
+        for i, alpha, radius in zip(draws.tolist(), alphas.tolist(), radii.tolist()):
+            x = X[i]
+            c = int(self.loglik_all(x).argmax())
+            winners.append(c)
+            for j in range(ptr[c], ptr[c + 1]):
+                if hops[j] > radius:
+                    break
+                self.update(idx[j], x, alpha)
+        return np.array(winners, dtype=np.int64)
+
+    def export(self):
+        from smlsom import MultinomParams
+
+        return [MultinomParams(t) for t in self.thetas]
+
+
+class _OracleFamily:
+    """A model family whose training state is a numpy oracle state in place
+    of the compiled kernel; everything else is the real family's."""
+
+    def __init__(self, inner, make_state):
+        self._inner = inner
+        self._make_state = make_state
+        self.name = inner.name
 
     def __getattr__(self, attr):
         return getattr(self._inner, attr)
 
     def make_state(self, params_list):
-        return OracleGaussTrainState(params_list, update_sigma=self.update_sigma)
+        return self._make_state(params_list)
+
+
+class OracleGaussianFamily(_OracleFamily):
+    """The Gaussian family with the numpy training state."""
+
+    def __init__(self, update_sigma=True):
+        from smlsom import GaussianFamily
+
+        super().__init__(GaussianFamily(update_sigma), partial(OracleGaussTrainState, update_sigma=update_sigma))
+
+
+class OracleMultinomialFamily(_OracleFamily):
+    """The multinomial family with the numpy training state."""
+
+    def __init__(self):
+        from smlsom import MultinomialFamily
+
+        super().__init__(MultinomialFamily(), OracleMultinomTrainState)

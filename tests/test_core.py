@@ -200,3 +200,8 @@ class TestDataset:
         negative = Dataset(np.array([[-1.0, 2.0], [0.0, 3.0]]))
         with pytest.raises(DataError):
             negative.validate_counts()
+
+    def test_counts_that_are_all_zero_rejected(self):
+        Dataset(np.array([[0.0, 0.0], [0.0, 1.0]])).validate_counts()  # one count is enough
+        with pytest.raises(DataError, match="all zero"):
+            Dataset(np.zeros((5, 3))).validate_counts()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,26 @@ class TestFit:
         result = smlsom_fit(data, FitConfig(family="multinomial", seed=0))
         assert result.n_clusters == 2
         assert ari(result.assignment.m, labels) > 0.95
+
+    @pytest.mark.parametrize("zero_share", [0.02, 0.1])
+    def test_multinomial_fit_with_all_zero_rows(self, zero_share):
+        rng = np.random.default_rng(0)
+        profiles = rng.dirichlet(np.ones(6), size=3)
+        X = np.vstack([rng.multinomial(15, profiles[k]) for k in rng.integers(3, size=300)]).astype(float)
+        X[rng.random(300) < zero_share] = 0.0
+        result = smlsom_fit(Dataset(X), FitConfig(family="multinomial", seed=0))
+        assert math.isfinite(result.mdl.total) and 2 <= result.n_clusters <= 4
+
+    def test_multinomial_fit_with_few_counts(self):
+        X = np.zeros((50, 4))
+        X[[5, 20, 40]] = np.random.default_rng(3).multinomial(10, [0.25] * 4, size=3)
+        for seed in range(3):
+            result = smlsom_fit(Dataset(X), FitConfig(family="multinomial", seed=seed))
+            assert math.isfinite(result.mdl.total) and result.n_clusters <= 3
+
+    def test_multinomial_data_without_counts_rejected(self):
+        with pytest.raises(DataError):
+            smlsom_fit(Dataset(np.zeros((20, 3))), FitConfig(family="multinomial"))
 
     def test_survivor_ids_are_original_lattice_ids(self):
         rng = np.random.default_rng(13)

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import smlsom.gaussian as gaussian
+import smlsom._kernel as _kernel
 from smlsom import (
     GaussianFamily,
     GaussParams,
@@ -24,7 +25,8 @@ from smlsom import (
     schedule_alphas,
     schedule_radii,
 )
-from smlsom.gaussian import _REFRESH_EVERY, gauss_loglik_rows, kernel_path, load_kernel
+from smlsom._kernel import kernel_path, load_kernel
+from smlsom.gaussian import _REFRESH_EVERY, gauss_loglik_rows
 from smlsom.mlsom import neighbor_table
 
 from oracles import OracleGaussTrainState, dense_gauss_loglik, random_pd_matrix
@@ -288,13 +290,20 @@ class TestKernelBuild:
         def no_compiler(*args, **kwargs):
             raise AssertionError("compiled a second time")
 
-        monkeypatch.setattr(gaussian.subprocess, "run", no_compiler)
+        monkeypatch.setattr(_kernel.subprocess, "run", no_compiler)
         lib = load_kernel(cache_dir=tmp_path)
         assert lib.gauss_train_cycle is not None
         assert list(tmp_path.iterdir()) == [built] and built.stat().st_mtime_ns == stamp
 
+    def test_one_library_serves_both_families(self, tmp_path):
+        lib = load_kernel(cache_dir=tmp_path)
+        (built,) = tmp_path.iterdir()
+        assert built.name.startswith("_kernel.")
+        for name in ("gauss_train_cycle", "gauss_update_node", "multinom_train_cycle", "multinom_update_node"):
+            assert getattr(lib, name).restype is ctypes.c_int64
+
     def test_name_hashes_source_and_command(self, tmp_path):
-        source = gaussian._KERNEL_SOURCE.read_bytes()
+        source = _kernel._KERNEL_SOURCE.read_bytes()
         name = kernel_path(source, "cc", tmp_path)
         assert name == kernel_path(source, "cc", tmp_path)
         assert name != kernel_path(source + b"\n", "cc", tmp_path)
@@ -302,9 +311,9 @@ class TestKernelBuild:
         assert name.parent == tmp_path and name.suffix == ".so"
 
     def test_two_processes_build_an_empty_cache_at_once(self, tmp_path):
-        src = str(Path(gaussian.__file__).parents[1])
+        src = str(Path(_kernel.__file__).parents[1])
         code = (
-            "import sys; from smlsom.gaussian import load_kernel; "
+            "import sys; from smlsom._kernel import load_kernel; "
             "lib = load_kernel(cache_dir=sys.argv[1]); print(lib.gauss_train_cycle is not None)"
         )
         env = {**os.environ, "PYTHONPATH": src}

@@ -6,16 +6,19 @@ from smlsom import (
     GaussianFamily,
     GaussParams,
     MapGraph,
+    MultinomialFamily,
+    MultinomParams,
     Schedule,
     classify,
     find_winner,
     gauss_update,
     lattice_graph,
+    loglik_matrix,
     mlsom_train,
     schedule_alpha,
 )
 
-from oracles import OracleGaussianFamily, random_pd_matrix
+from oracles import OracleGaussianFamily, OracleMultinomialFamily, random_pd_matrix
 
 FAMILY = GaussianFamily()
 
@@ -150,6 +153,50 @@ class TestTrain:
         for m in g.nodes:
             np.testing.assert_array_equal(out1[m].mu, out2[m].mu)
             np.testing.assert_array_equal(out1[m].sigma, out2[m].sigma)
+
+    def test_multinomial_matches_the_numpy_training_state(self):
+        # ids with gaps, and some all-zero rows, which update nothing
+        rng = np.random.default_rng(15)
+        profiles = rng.dirichlet(np.full(5, 0.4), size=3)
+        X = np.vstack([rng.multinomial(t, profiles[t % 3]) for t in rng.integers(0, 25, size=300)])
+        data = Dataset(X.astype(float))
+        g = lattice_graph(3, 3, "hexagonal")
+        for m in (1, 5):
+            g.remove_node(m)
+        params = {m: MultinomParams(rng.dirichlet(np.ones(5))) for m in g.nodes}
+        sched = Schedule(r1=2.0, tau_max=600)
+        runs = []
+        for family in (MultinomialFamily(), OracleMultinomialFamily()):
+            winners = []
+            out = mlsom_train(data, g, params, sched, np.random.default_rng(9), family, winner_log=winners)
+            runs.append((winners, out))
+        (w1, out1), (w2, out2) = runs
+        assert w1 == w2 and set(w1) <= set(g.nodes) and len(set(w1)) > 1
+        assert all(type(m) is int for m in w1)
+        for m in g.nodes:
+            np.testing.assert_array_equal(out1[m].theta, out2[m].theta)
+
+
+class TestLoglikMatrix:
+    """The family builds the matrix; every row is bitwise its node's
+    ``loglik_rows``."""
+
+    @pytest.mark.parametrize("layout", ["c", "fortran"])
+    def test_rows_equal_loglik_rows(self, layout):
+        rng = np.random.default_rng(16)
+        X = rng.multinomial(12, [0.1, 0.2, 0.3, 0.4], size=200).astype(float)
+        X[::17] = 0.0
+        cases = [
+            (MultinomialFamily(), Dataset(X), {m: MultinomParams(rng.dirichlet(np.ones(4))) for m in (0, 3, 8)}),
+            (FAMILY, Dataset(rng.normal(size=(200, 3))), {m: GaussParams(rng.normal(size=3), random_pd_matrix(rng, 3)) for m in (2, 5)}),
+        ]
+        for family, data, params in cases:
+            if layout == "fortran":
+                data = Dataset(np.asfortranarray(data.values))
+            ll = loglik_matrix(data, params, family)
+            assert ll.shape == (len(params), data.n)
+            for row, m in zip(ll, sorted(params)):
+                assert row.tobytes() == family.loglik_rows(data.values, params[m]).tobytes()
 
 
 class TestKohonenReduction:

@@ -5,15 +5,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smlsom._kernel as _kernel
 from smlsom import (
+    Dataset,
+    FitConfig,
+    MapGraph,
+    MultinomialFamily,
     MultinomParams,
+    Schedule,
+    SmlsomError,
+    lattice_graph,
     multinom_batch,
     multinom_df,
     multinom_loglik,
     multinom_update,
+    schedule_alphas,
+    schedule_radii,
+    smlsom_fit,
 )
+from smlsom.mlsom import NeighborTable, neighbor_table
+from smlsom.multinomial import THETA_FLOOR
 
-from oracles import exact_multinom_pmf
+from oracles import OracleMultinomTrainState, exact_multinom_pmf
+
+
+def assert_matches_oracle(state, oracle):
+    """Probabilities bitwise; their logs within one unit in the last place
+    (the kernel takes the C library's log, numpy its own)."""
+    np.testing.assert_array_equal(state.thetas, oracle.thetas)
+    np.testing.assert_array_max_ulp(state.logthetas, oracle.logthetas, maxulp=1)
+
+
+def count_rows(rng, n, p, zero_share=0.1):
+    """Count rows from a few sparse profiles (each puts almost no mass on
+    some categories), about ``zero_share`` of them all zero."""
+    profiles = rng.dirichlet(np.full(p, 0.3), size=4)
+    totals = rng.integers(1, 30, size=n) * (rng.random(n) >= zero_share)
+    return np.vstack([rng.multinomial(t, profiles[k]) for t, k in zip(totals, rng.integers(4, size=n))]).astype(float)
 
 
 class TestLoglik:
@@ -122,3 +150,130 @@ class TestFloor:
         assert theta.theta[1] >= 1e-10
         x = np.array([0.0, 3.0])
         assert math.isfinite(multinom_loglik(x, theta))
+
+
+class TestTrainState:
+    """The stacked state the training loop updates, in the compiled kernel."""
+
+    def test_update_matches_the_numpy_state(self):
+        rng = np.random.default_rng(3)
+        p = 7
+        params = [MultinomParams(rng.dirichlet(np.ones(p))) for _ in range(3)]
+        state = MultinomialFamily().make_state(params)
+        oracle = OracleMultinomTrainState(params)
+        X = count_rows(rng, 200, p)
+        X[:100, 4:] = 0.0  # drives the last categories to the floor
+        assert (X.sum(axis=1) == 0).any()
+        lowest = 1.0
+        for x in X:
+            a = rng.uniform(0.0, 0.95)
+            for k in (0, 2, 0):
+                state.update(k, x, a)
+                oracle.update(k, x, a)
+            assert_matches_oracle(state, oracle)
+            lowest = min(lowest, state.thetas.min())
+        assert lowest < 1e-9  # some probabilities reached the floor
+
+    def test_zero_row_leaves_the_node_as_it_is(self):
+        state = MultinomialFamily().make_state([MultinomParams([0.2, 0.3, 0.5])])
+        before = state.thetas.copy(), state.logthetas.copy()
+        state.update(0, np.zeros(3), 0.5)
+        np.testing.assert_array_equal(state.thetas, before[0])
+        np.testing.assert_array_equal(state.logthetas, before[1])
+
+    def test_rejects_arrays_the_kernel_cannot_read(self):
+        rng = np.random.default_rng(0)
+        state = MultinomialFamily().make_state([MultinomParams(rng.dirichlet(np.ones(3))) for _ in range(2)])
+        X = count_rows(rng, 10, 3)
+        table = neighbor_table(lattice_graph(1, 2), [0, 1])
+        sched = Schedule(tau_max=4)
+        alphas, radii = schedule_alphas(sched), schedule_radii(sched)
+        with pytest.raises(ValueError):  # wrong dtype
+            state.run(X, np.arange(4, dtype=np.int32), alphas, radii, table)
+        with pytest.raises(ValueError):  # a row that is not there
+            state.run(X, np.array([0, 1, 2, 10]), alphas, radii, table)
+        with pytest.raises(ValueError):  # wrong length
+            state.run(X, np.arange(4), alphas[:3], radii, table)
+        with pytest.raises(ValueError):  # wrong dimension
+            state.run(X[:, :2], np.arange(4), alphas, radii, table)
+        with pytest.raises(ValueError):
+            state.update(0, np.zeros(2), 0.1)
+        with pytest.raises(IndexError):
+            state.update(2, np.zeros(3), 0.1)
+        state.thetas = np.asfortranarray(state.thetas)
+        with pytest.raises(ValueError):
+            state.update(0, np.zeros(3), 0.1)
+
+
+class TestKernelMatchesOracle:
+    """A whole training cycle in the kernel against the numpy oracle state:
+    identical winners, bitwise probabilities."""
+
+    @staticmethod
+    def run_both(X, params, steps, rng, alpha0=0.05, r1=2.0):
+        M = len(params)
+        graph = MapGraph(nodes=[0]) if M == 1 else lattice_graph(1, M)
+        table = neighbor_table(graph, list(range(M)))
+        sched = Schedule(alpha0=alpha0, alpha1=min(0.01, alpha0), r1=r1, tau_max=steps)
+        args = (X, rng.integers(len(X), size=steps), schedule_alphas(sched), schedule_radii(sched), table)
+        state = MultinomialFamily().make_state(params)
+        oracle = OracleMultinomTrainState(params)
+        winners = state.run(*args)
+        np.testing.assert_array_equal(winners, oracle.run(*args))
+        assert_matches_oracle(state, oracle)
+        return winners
+
+    # every row class of numpy's matrix-vector product: blocks of four
+    # rows, the two- and one-row remainders, and the single-node dot product
+    @pytest.mark.parametrize("M", [*range(1, 10), 25])
+    @pytest.mark.parametrize("p", [2, 3, 6, 10, 12])
+    def test_random_cycles(self, p, M):
+        rng = np.random.default_rng(1000 * p + M)
+        X = count_rows(rng, 300, p)
+        params = [MultinomParams(rng.dirichlet(np.full(p, 0.5))) for _ in range(M)]
+        winners = self.run_both(X, params, 400, rng)
+        assert M < 3 or len(set(winners.tolist())) > 2
+
+    @pytest.mark.parametrize("p", [2, 3, 6, 10, 12])
+    def test_scores_in_numpys_order(self, p):
+        # near-twin nodes, whose scores differ in the last bits, and a
+        # neighbor table with no rows, so that no node moves: every winner
+        # turns on the order in which the scores were summed
+        for M in [*range(1, 10), 25]:
+            rng = np.random.default_rng(100 * p + M)
+            base = rng.dirichlet(np.ones(p))
+            params = [MultinomParams(base * (1.0 + 1e-15 * rng.normal(size=p))) for _ in range(M)]
+            X = rng.multinomial(20, base, size=500).astype(float)
+            empty = NeighborTable(np.zeros(M + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+            sched = Schedule(tau_max=500)
+            args = (X, np.arange(500), schedule_alphas(sched), schedule_radii(sched), empty)
+            winners = MultinomialFamily().make_state(params).run(*args)
+            np.testing.assert_array_equal(winners, OracleMultinomTrainState(params).run(*args))
+
+    def test_probabilities_at_the_floor(self):
+        rng = np.random.default_rng(5)
+        X = count_rows(rng, 200, 6)
+        params = [MultinomParams(np.eye(6)[k % 6]) for k in range(6)]  # floored from the start
+        state = MultinomialFamily().make_state(params)
+        assert state.thetas.min() < 1e-9
+        self.run_both(X, params, 300, rng, alpha0=0.9)
+
+    def test_ties_go_to_the_first_node(self):
+        rng = np.random.default_rng(9)
+        X = count_rows(rng, 100, 4, zero_share=0.0)
+        theta = MultinomParams(rng.dirichlet(np.ones(4)))
+        # hard phase only: the untrained nodes stay exact twins, so a node
+        # can win only after every node before it has won
+        winners = self.run_both(X, [theta] * 6, 200, rng, r1=0.5)
+        first_wins = [int(k) for k in dict.fromkeys(winners.tolist())]
+        assert first_wins == list(range(len(first_wins))) and len(first_wins) > 2
+
+
+def test_fit_without_a_compiler_raises(tmp_path, monkeypatch):
+    monkeypatch.setattr(_kernel, "_lib", None)
+    monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setenv("PATH", str(tmp_path))  # no cc on it
+    data = Dataset(count_rows(np.random.default_rng(0), 40, 3))
+    with pytest.raises(SmlsomError, match="C compiler"):
+        smlsom_fit(data, FitConfig(family="multinomial", rows=2, cols=2))
+    assert not any((tmp_path / "cache").iterdir())

@@ -388,6 +388,22 @@ class TestTryDeleteNodeMatchesOracle:
         if split:
             assert len(_receivers(assignment, result)) >= 2
 
+    # Node 2 holds only all-zero count rows, which no batch fit can use:
+    # every candidate that keeps node 2 scores it with its own parameters.
+    # Deleting it hands those rows to node 0 at no cost in likelihood, an
+    # exact tie with deleting the empty node 4 that the smaller id wins.
+    def test_multinomial_survivor_with_only_zero_rows(self):
+        rng = np.random.default_rng(55)
+        data, g, assignment, params = _multinom_case(rng, split=False)
+        X = np.vstack([data.values, np.zeros((3, 4))])
+        data = Dataset(X)
+        m = np.concatenate([assignment.m, [2, 2, 2]])
+        m[m == 2] = 0  # node 2's count rows go to node 0, leaving it the zero rows
+        m[-3:] = 2
+        assignment = Assignment(m)
+        result = _assert_matches_oracle(data, g, assignment, params, MULTINOM)
+        assert result.deleted == 2
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_random_gaussian_maps(self, p):
         rng = np.random.default_rng(60 + p)
@@ -407,3 +423,16 @@ class TestTryDeleteNodeMatchesOracle:
             params = {m: MultinomParams(rng.dirichlet(np.ones(cats))) for m in range(k)}
             g = MapGraph(nodes=range(k), edges=[(a, a + 1) for a in range(k - 1)])
             _assert_matches_oracle(data, g, classify(data, params, MULTINOM), params, MULTINOM)
+
+    def test_random_multinomial_maps_with_zero_rows(self):
+        rng = np.random.default_rng(71)
+        for trial in range(15):
+            k, cats, n = int(rng.integers(2, 8)), int(rng.integers(2, 6)), int(rng.integers(20, 120))
+            X = rng.multinomial(int(rng.integers(1, 30)), rng.dirichlet(np.ones(cats)), size=n).astype(float)
+            X[rng.random(n) < rng.uniform(0.05, 0.9)] = 0.0
+            X[0, 0] = 1.0
+            data = Dataset(X)
+            params = {m: MultinomParams(rng.dirichlet(np.ones(cats))) for m in range(k)}
+            g = MapGraph(nodes=range(k), edges=[(a, a + 1) for a in range(k - 1)])
+            assignment = Assignment(rng.integers(k, size=n))  # zero rows land anywhere
+            _assert_matches_oracle(data, g, assignment, params, MULTINOM)
