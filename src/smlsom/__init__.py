@@ -11,13 +11,9 @@ from .core import (
     Dataset,
     MapGraph,
     Schedule,
-    hop_distance,
     lattice_graph,
-    neighborhood_indicator,
-    schedule_alpha,
     schedule_alphas,
     schedule_radii,
-    schedule_radius,
 )
 from .datagen import STRUCTURES, MixtureSpec, calibrate_overlap, overlap_mc, random_mixture, sample_mixture
 from .driver import (
@@ -36,9 +32,7 @@ from .gaussian import (
     GaussParams,
     gauss_batch,
     gauss_df,
-    gauss_loglik,
     gauss_loglik_rows,
-    gauss_update,
 )
 from .io import (
     load_faithful,
@@ -48,15 +42,13 @@ from .io import (
     write_dataset,
 )
 from .metrics import ari, nmi
-from .mlsom import classify, find_winner, loglik_matrix, mlsom_train
+from .mlsom import classify, loglik_matrix, mlsom_train
 from .multinomial import (
     MultinomialFamily,
     MultinomParams,
     multinom_batch,
     multinom_df,
-    multinom_loglik,
-    multinom_update,
 )
-from .structure import MdlScore, cut_weak_links, kl_estimate, link_weakness, mdl_score, try_delete_node
+from .structure import MdlScore, cut_weak_links, kl_estimate, mdl_score, try_delete_node
 
 __version__ = "0.1.0"

@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -94,18 +93,25 @@ def cmd_gen(args) -> int:
 def cmd_fit(args) -> int:
     dataset = io.read_dataset(args.input)
     data = Dataset(dataset.values, None)  # ignore any label column when fitting
-    config = FitConfig(
-        family=args.family,
-        rows=args.rows,
-        cols=args.cols,
-        lattice={"rect": "rectangular", "hex": "hexagonal"}[args.lattice],
-        beta=args.beta,
-        alpha0=args.alpha[0],
-        alpha1=args.alpha[1],
-        tau_max=args.tau_max,
-        init=args.init,
-        seed=args.seed,
-    )
+    try:
+        config = FitConfig(
+            family=args.family,
+            rows=args.rows,
+            cols=args.cols,
+            lattice={"rect": "rectangular", "hex": "hexagonal"}[args.lattice],
+            beta=args.beta,
+            alpha0=args.alpha[0],
+            alpha1=args.alpha[1],
+            tau_max=args.tau_max,
+            init=args.init,
+            seed=args.seed,
+        )
+        config.schedule(data.n)  # the fit builds this schedule; check it before fitting
+        if args.restarts < 1:
+            raise ValueError("--restarts must be >= 1")
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     start = time.perf_counter()
     result = smlsom_fit_restarts(data, config, restarts=args.restarts, jobs=args.jobs)
     elapsed = time.perf_counter() - start
@@ -125,8 +131,7 @@ def cmd_score(args) -> int:
     data = io.read_dataset(args.input)
     data = Dataset(data.values, None)
     family = FAMILIES[family_name]()
-    p = next(iter(params.values()))
-    model_p = p.mu.size if hasattr(p, "mu") else p.theta.size
+    model_p = next(iter(params.values())).p
     if model_p != data.p:
         raise DataError(f"model dimension {model_p} != data dimension {data.p}")
     family.validate(data)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -117,17 +116,11 @@ class MapGraph:
             for l in nbrs
         }
 
-    def has_node(self, m: int) -> bool:
-        return m in self._nodes
-
     def has_edge(self, m: int, l: int) -> bool:
         return l in self._nodes.get(m, ())
 
     def neighbors(self, m: int) -> list[int]:
         return sorted(self._nodes[m])
-
-    def degree(self, m: int) -> int:
-        return len(self._nodes[m])
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -186,18 +179,6 @@ def lattice_graph(rows: int, cols: int, kind: str = "rectangular") -> MapGraph:
     return g
 
 
-def hop_distance(g: MapGraph, c: int, m: int) -> float:
-    """Shortest-path length in edges; math.inf when unreachable."""
-    if not (g.has_node(c) and g.has_node(m)):
-        raise ValueError("hop_distance endpoints must be live nodes")
-    return g.hops_from(c).get(m, math.inf)
-
-
-def neighborhood_indicator(d: float, r: float) -> int:
-    """1 when within radius (boundary inclusive), else 0; unreachable -> 0."""
-    return 1 if d <= r else 0
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Linear decay schedules for the learning rate and neighborhood radius."""
@@ -215,45 +196,21 @@ class Schedule:
         if self.tau_max < 1:
             raise ValueError("tau_max must be >= 1")
 
-    def _check_tau(self, tau: int):
-        if not 1 <= tau <= self.tau_max:
-            raise ValueError(f"tau={tau} outside [1, {self.tau_max}]")
-
-
-def _alphas_at(s: Schedule, tau: np.ndarray) -> np.ndarray:
-    if s.tau_max == 1:
-        return np.full(tau.shape, s.alpha0)
-    return s.alpha0 - (s.alpha0 - s.alpha1) * (tau - 1) / (s.tau_max - 1)
-
-
-def _radii_at(s: Schedule, tau: np.ndarray) -> np.ndarray:
-    r2 = -s.r1
-    r = s.r1 - (s.r1 - r2) * tau / s.tau_max
-    return np.where(r >= 1, r, 0.5)
-
 
 def schedule_alphas(s: Schedule) -> np.ndarray:
     """Learning rate at every step tau = 1..tau_max: linear decay from
     alpha0 (tau=1) to alpha1."""
-    return _alphas_at(s, np.arange(1, s.tau_max + 1))
+    if s.tau_max == 1:
+        return np.full(1, s.alpha0)
+    tau = np.arange(1, s.tau_max + 1)
+    return s.alpha0 - (s.alpha0 - s.alpha1) * (tau - 1) / (s.tau_max - 1)
 
 
 def schedule_radii(s: Schedule) -> np.ndarray:
     """Neighborhood radius at every step tau = 1..tau_max: r1 - 2*r1*tau/tau_max,
     clamped to 0.5 below 1 (the winner alone updates in the hard phase)."""
-    return _radii_at(s, np.arange(1, s.tau_max + 1))
-
-
-def schedule_alpha(s: Schedule, tau: int) -> float:
-    """Learning rate at one step; see :func:`schedule_alphas`."""
-    s._check_tau(tau)
-    return float(_alphas_at(s, np.array([tau]))[0])
-
-
-def schedule_radius(s: Schedule, tau: int) -> float:
-    """Neighborhood radius at one step; see :func:`schedule_radii`."""
-    s._check_tau(tau)
-    return float(_radii_at(s, np.array([tau]))[0])
+    r = s.r1 - 2.0 * s.r1 * np.arange(1, s.tau_max + 1) / s.tau_max
+    return np.where(r >= 1, r, 0.5)
 
 
 @dataclass(frozen=True)

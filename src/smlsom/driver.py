@@ -37,8 +37,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rows * self.cols < 2:
-            raise ValueError("map needs at least 2 nodes")
+        if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
+            raise ValueError("map needs at least 1 row, 1 column and 2 nodes")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
         if self.family not in FAMILIES:
@@ -123,6 +123,8 @@ def init_params(data: Dataset, config: FitConfig, rng: np.random.Generator) -> d
         if config.init == "pca":
             mus = pca_init(data, config.rows, config.cols)
         else:
+            if data.n < M:
+                raise DataError(f"random init draws one sample per node: n={data.n} is fewer than the {M} nodes")
             idx = rng.choice(data.n, size=M, replace=False)
             mus = [data.values[i] for i in idx]
         eye = np.eye(data.p)
@@ -182,6 +184,8 @@ def smlsom_fit_restarts(
 ) -> FitResult:
     """Run independent seeded fits (seed, seed+1, ...) and keep the best
     final MDL total; ties resolve in seed order."""
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     configs = [
         FitConfig(**{**config.__dict__, "seed": config.seed + k}) for k in range(restarts)
     ]

@@ -14,7 +14,8 @@ both from the quadratic form d^T P d that the winner search has already
 computed. To bound round-off drift a node is re-factorized after every
 ``_REFRESH_EVERY`` rank-one updates, and at once when the lemma's factor
 1 + a d^T P d is not finite and positive. Means and covariances move
-element-wise in the same order as ``_moment_step``. Without a C compiler,
+element-wise as mu + a d and Sigma + a((1-a) d d^T - Sigma), for d = x - mu,
+which keeps a covariance bitwise symmetric. Without a C compiler,
 training raises ``SmlsomError``.
 """
 
@@ -88,33 +89,12 @@ class GaussParams:
         return cho_solve((self._chol, True), np.eye(self.p), check_finite=False)
 
 
-def gauss_loglik(x: np.ndarray, theta: GaussParams) -> float:
-    """Log density of the p-variate normal at x."""
-    d = np.asarray(x, dtype=float) - theta.mu
-    w = solve_triangular(theta._chol, d, lower=True, check_finite=False)
-    return -0.5 * (theta.p * _LOG_2PI + theta.log_det + float(w @ w))
-
-
 def gauss_loglik_rows(X: np.ndarray, theta: GaussParams) -> np.ndarray:
     """Vectorized log density for every row of X."""
     D = np.asarray(X, dtype=float) - theta.mu
     W = solve_triangular(theta._chol, D.T, lower=True, check_finite=False)
     quad = np.einsum("ij,ij->j", W, W)
     return -0.5 * (theta.p * _LOG_2PI + theta.log_det + quad)
-
-
-def _moment_step(mu, sigma, d, a):
-    """One stochastic moment step from the deviation d = x - mu of the
-    pre-update mean. A symmetric sigma stays bitwise symmetric."""
-    return mu + a * d, sigma + a * ((1.0 - a) * (d[:, None] * d) - sigma)
-
-
-def gauss_update(theta: GaussParams, x: np.ndarray, a: float) -> GaussParams:
-    """Stochastic method-of-moments update with effective rate a."""
-    if not 0.0 <= a < 1.0:
-        raise ValueError("effective rate must be in [0, 1)")
-    d = np.asarray(x, dtype=float) - theta.mu
-    return GaussParams(*_moment_step(theta.mu, theta.sigma, d, a))
 
 
 def gauss_batch(samples: np.ndarray) -> GaussParams:
@@ -215,17 +195,11 @@ class GaussianFamily:
     def validate(self, dataset):
         pass  # any finite real matrix is acceptable
 
-    def loglik(self, x, theta: GaussParams) -> float:
-        return gauss_loglik(x, theta)
-
     def loglik_rows(self, X, theta: GaussParams) -> np.ndarray:
         return gauss_loglik_rows(X, theta)
 
     def loglik_matrix(self, X, thetas: list[GaussParams]) -> np.ndarray:
         return np.stack([gauss_loglik_rows(X, t) for t in thetas])
-
-    def update(self, theta: GaussParams, x, a: float) -> GaussParams:
-        return gauss_update(theta, x, a)
 
     def batch(self, samples) -> GaussParams:
         return gauss_batch(samples)

@@ -100,6 +100,12 @@ def _node_record(node_id: int, params) -> dict:
     return {"id": node_id, "theta": params.theta.tolist()}
 
 
+_NODE_READERS = {
+    "gaussian": lambda rec: GaussParams(np.array(rec["mean"]), np.array(rec["cov"])),
+    "multinomial": lambda rec: MultinomParams(np.array(rec["theta"])),
+}
+
+
 def save_model(path, result: FitResult):
     config = result.config
     doc = {
@@ -136,16 +142,18 @@ def load_model(path) -> tuple[str, dict, MapGraph, dict]:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read model {path}: {e}") from e
-    if doc.get("format_version") != FORMAT_VERSION:
+    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported model format version in {path}")
-    family = doc["family"]
-    params = {}
-    for rec in doc["nodes"]:
-        if family == "gaussian":
-            params[rec["id"]] = GaussParams(np.array(rec["mean"]), np.array(rec["cov"]))
-        else:
-            params[rec["id"]] = MultinomParams(np.array(rec["theta"]))
-    graph = MapGraph(nodes=params.keys(), edges=doc["edges"])
+    family = doc.get("family")
+    if family not in _NODE_READERS:
+        raise DataError(f"{path}: unknown model family {family!r}")
+    try:
+        params = {rec["id"]: _NODE_READERS[family](rec) for rec in doc["nodes"]}
+        graph = MapGraph(nodes=[rec["id"] for rec in doc["nodes"]], edges=doc["edges"])  # rejects duplicate ids
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(f"{path}: malformed model: {e!r}") from e
+    if not params:
+        raise DataError(f"{path}: model has no nodes")
     return family, params, graph, doc.get("fit", {})
 
 

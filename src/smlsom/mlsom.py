@@ -14,15 +14,6 @@ import numpy as np
 from .core import Assignment, Dataset, MapGraph, Schedule, schedule_alphas, schedule_radii
 
 
-def find_winner(x: np.ndarray, params: dict, family) -> int:
-    """Live node with the highest log-likelihood; ties go to the smallest id."""
-    if not params:
-        raise ValueError("empty node table")
-    ids = sorted(params)
-    ll = [family.loglik(x, params[m]) for m in ids]
-    return ids[int(np.argmax(ll))]
-
-
 def loglik_matrix(data: Dataset, params: dict, family) -> np.ndarray:
     """M x n matrix of every sample's log-likelihood under every live node.
 

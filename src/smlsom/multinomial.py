@@ -50,14 +50,6 @@ class MultinomParams:
         return self.theta.size
 
 
-def multinom_loglik(x: np.ndarray, theta: MultinomParams) -> float:
-    """Log pmf including the multinomial coefficient."""
-    x = np.asarray(x, dtype=float)
-    total = x.sum()
-    coef = gammaln(total + 1.0) - gammaln(x + 1.0).sum()
-    return float(coef + x @ np.log(theta.theta))
-
-
 def _log_coef(X: np.ndarray) -> np.ndarray:
     """Log multinomial coefficient log T! - sum log x_i! of every row."""
     return gammaln(X.sum(axis=1) + 1.0) - gammaln(X + 1.0).sum(axis=1)
@@ -74,20 +66,6 @@ def multinom_loglik_matrix(X: np.ndarray, thetas: list[MultinomParams]) -> np.nd
     X = np.asarray(X, dtype=float)
     coef = _log_coef(X)
     return np.stack([coef + X @ np.log(t.theta) for t in thetas])
-
-
-def multinom_update(theta: MultinomParams, x: np.ndarray, a: float) -> MultinomParams:
-    """Move theta toward the sample's relative frequencies at rate a.
-
-    An all-zero count vector leaves theta untouched.
-    """
-    if not 0.0 <= a < 1.0:
-        raise ValueError("effective rate must be in [0, 1)")
-    x = np.asarray(x, dtype=float)
-    total = x.sum()
-    if total == 0:
-        return theta
-    return MultinomParams(theta.theta + a * (x / total - theta.theta))
 
 
 def multinom_batch(samples: np.ndarray) -> MultinomParams:
@@ -172,17 +150,11 @@ class MultinomialFamily:
     def validate(self, dataset):
         dataset.validate_counts()
 
-    def loglik(self, x, theta: MultinomParams) -> float:
-        return multinom_loglik(x, theta)
-
     def loglik_rows(self, X, theta: MultinomParams) -> np.ndarray:
         return multinom_loglik_rows(X, theta)
 
     def loglik_matrix(self, X, thetas: list[MultinomParams]) -> np.ndarray:
         return multinom_loglik_matrix(X, thetas)
-
-    def update(self, theta: MultinomParams, x, a: float) -> MultinomParams:
-        return multinom_update(theta, x, a)
 
     def batch(self, samples) -> MultinomParams:
         return multinom_batch(samples)

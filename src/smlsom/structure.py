@@ -38,22 +38,11 @@ class MdlScore:
         return self.neg_loglik + self.complexity + self.indexing
 
 
-def kl_estimate(members: np.ndarray, theta_m, theta_l, family) -> float:
-    """Sample-average log-likelihood ratio of theta_m vs theta_l over the
-    members of one node (a plug-in KL divergence estimate)."""
-    X = np.atleast_2d(members)
-    if X.shape[0] < 1:
-        raise ValueError("need at least one member sample")
-    return float(np.mean(family.loglik_rows(X, theta_m) - family.loglik_rows(X, theta_l)))
-
-
-def link_weakness(data: Dataset, assignment: Assignment, params: dict, m: int, l: int, family) -> float:
-    """Symmetrized two-sided KL estimate between adjacent nodes."""
-    Xm = data.values[assignment.members(m)]
-    Xl = data.values[assignment.members(l)]
-    return 0.5 * kl_estimate(Xm, params[m], params[l], family) + 0.5 * kl_estimate(
-        Xl, params[l], params[m], family
-    )
+def kl_estimate(ll_own: np.ndarray, ll_other: np.ndarray) -> float:
+    """Plug-in estimate of the KL divergence D(f_m || f_l): the mean, over
+    node m's member samples, of their log-likelihood under m (``ll_own``)
+    minus that under l (``ll_other``)."""
+    return float(np.mean(ll_own - ll_other))
 
 
 def cut_weak_links(
@@ -94,8 +83,8 @@ def cut_weak_links(
         for m, l in sorted(graph.edges):
             if (m, l) in removed:
                 continue
-            d_ml = float(np.mean(row[m][members[m]] - row[l][members[m]]))
-            d_lm = float(np.mean(row[l][members[l]] - row[m][members[l]]))
+            d_ml = kl_estimate(row[m][members[m]], row[l][members[m]])
+            d_lm = kl_estimate(row[l][members[l]], row[m][members[l]])
             if 0.5 * d_ml + 0.5 * d_lm > beta * h:
                 removed.add((m, l))
     for m, l in removed:

@@ -204,6 +204,12 @@ def oracle_radius(s, tau) -> float:
     return r if r >= 1 else 0.5
 
 
+def moment_step(mu, sigma, d, a):
+    """One stochastic moment step from the deviation d = x - mu of the
+    pre-update mean. A symmetric sigma stays bitwise symmetric."""
+    return mu + a * d, sigma + a * ((1.0 - a) * (d[:, None] * d) - sigma)
+
+
 class OracleGaussTrainState:
     """The numpy Gaussian training state, step by step in Python.
 
@@ -245,7 +251,7 @@ class OracleGaussTrainState:
         return self._const - 0.5 * (self.logdets + quad)
 
     def update(self, k, x, a):
-        from smlsom.gaussian import _REFRESH_EVERY, _moment_step
+        from smlsom.gaussian import _REFRESH_EVERY
 
         if x is not self._scored or k in self._moved:
             self.loglik_all(x)
@@ -254,7 +260,7 @@ class OracleGaussTrainState:
         if not self.update_sigma:
             self.mus[k] = self.mus[k] + a * d
             return
-        self.mus[k], self.sigmas[k] = _moment_step(self.mus[k], self.sigmas[k], d, a)
+        self.mus[k], self.sigmas[k] = moment_step(self.mus[k], self.sigmas[k], d, a)
         g = 1.0 + a * self._quad[k]
         if self.ages[k] < _REFRESH_EVERY and 0.0 < g < math.inf:
             pd = self.precs[k] @ d

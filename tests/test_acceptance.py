@@ -17,30 +17,31 @@ from smlsom import (
     GaussianFamily,
     MultinomParams,
     ari,
+    MultinomialFamily,
     calibrate_overlap,
     classify,
-    gauss_loglik,
-    gauss_update,
+    gauss_loglik_rows,
     kl_estimate,
     lattice_graph,
     load_faithful,
     mdl_score,
     mlsom_train,
-    multinom_update,
     nmi,
     random_mixture,
     sample_mixture,
     smlsom_fit,
 )
 from smlsom.cli import main as cli_main
-from smlsom.core import Schedule, schedule_alpha, schedule_radius
+from smlsom.core import Schedule
 from smlsom.io import write_dataset
 from oracles import (
     dense_gauss_loglik,
+    oracle_alpha,
     oracle_ari,
     oracle_gauss_kl,
     oracle_mdl,
     oracle_nmi,
+    oracle_radius,
     random_pd_matrix,
 )
 
@@ -152,8 +153,8 @@ def test_criterion_4_kohonen_reduction():
         x = data.values[rng2.integers(400)]
         c = min(range(9), key=lambda m: (np.dot(x - mus[m], x - mus[m]), m))
         expected.append(c)
-        radius = schedule_radius(sched, tau)
-        alpha = schedule_alpha(sched, tau)
+        radius = oracle_radius(sched, tau)
+        alpha = oracle_alpha(sched, tau)
         for m in range(9):
             if hops[c].get(m, np.inf) <= radius:
                 mus[m] = mus[m] + alpha * (x - mus[m])
@@ -186,7 +187,7 @@ def test_criterion_5_oracle_equivalence():
         want = oracle_mdl(
             x,
             assignment.m,
-            [(m, lambda row, t=t: gauss_loglik(row, t)) for m, t in params.items()],
+            [(m, lambda row, t=t: dense_gauss_loglik(row, t.mu, t.sigma)) for m, t in params.items()],
             per_node_df=p + p * (p + 1) // 2,
         )
         worst_mdl = max(worst_mdl, abs(score.total - want) / abs(want))
@@ -205,13 +206,13 @@ def test_criterion_5_oracle_equivalence():
         if abs(nmi(u, v) - oracle_nmi(u, v)) > 1e-10:
             metric_ok = False
 
-    # gauss_loglik vs a dense inverse/determinant formula
+    # gauss_loglik_rows on one row vs a dense inverse/determinant formula
     worst_ll = 0.0
     for _ in range(200):
         p = int(rng.integers(1, 6))
         theta = GaussParams(rng.normal(size=p), random_pd_matrix(rng, p))
         x = rng.normal(size=p)
-        got = gauss_loglik(x, theta)
+        got = gauss_loglik_rows(x[None], theta)[0]
         want = dense_gauss_loglik(x, theta.mu, theta.sigma)
         worst_ll = max(worst_ll, abs(got - want) / abs(want))
     ll_ok = worst_ll <= 1e-9
@@ -234,9 +235,10 @@ def test_criterion_6_kl_consistency():
         theta_m = GaussParams(rng.normal(size=p), random_pd_matrix(rng, p))
         theta_l = GaussParams(rng.normal(size=p), random_pd_matrix(rng, p))
         x = rng.multivariate_normal(theta_m.mu, theta_m.sigma, size=k)
-        est = kl_estimate(x, theta_m, theta_l, GAUSS)
+        ll_m, ll_l = GAUSS.loglik_rows(x, theta_m), GAUSS.loglik_rows(x, theta_l)
+        est = kl_estimate(ll_m, ll_l)
         exact = oracle_gauss_kl(theta_m.mu, theta_m.sigma, theta_l.mu, theta_l.sigma)
-        ratios = GAUSS.loglik_rows(x, theta_m) - GAUSS.loglik_rows(x, theta_l)
+        ratios = ll_m - ll_l
         se = float(np.std(ratios, ddof=1)) / np.sqrt(k)
         worst_sigmas = max(worst_sigmas, abs(est - exact) / se)
     verdict(
@@ -248,22 +250,24 @@ def test_criterion_6_kl_consistency():
 
 
 def test_criterion_7_parameter_invariants():
+    # every step is the compiled kernel's node step on a one-node training state
     rng = np.random.default_rng(70)
     violations = 0
 
-    theta = GaussParams(rng.normal(size=2), random_pd_matrix(rng, 2))
+    state = GAUSS.make_state([GaussParams(rng.normal(size=2), random_pd_matrix(rng, 2))])
     for _ in range(100_000):
-        theta = gauss_update(theta, rng.normal(size=2), rng.uniform(0.0, 0.5))
-        if not np.array_equal(theta.sigma, theta.sigma.T):
+        state.update(0, rng.normal(size=2), rng.uniform(0.0, 0.5))
+        sigma = state.sigmas[0]
+        if not np.array_equal(sigma, sigma.T):
             violations += 1
-        elif np.linalg.eigvalsh(theta.sigma).min() < -1e-8:
+        elif np.linalg.eigvalsh(sigma).min() < -1e-8:
             violations += 1
 
-    phi = MultinomParams(rng.dirichlet(np.ones(4)))
+    state = MultinomialFamily().make_state([MultinomParams(rng.dirichlet(np.ones(4)))])
     for _ in range(100_000):
         x = rng.multinomial(20, [0.4, 0.3, 0.2, 0.1]).astype(float)
-        phi = multinom_update(phi, x, rng.uniform(0.0, 0.5))
-        t = phi.theta
+        state.update(0, x, rng.uniform(0.0, 0.5))
+        t = state.thetas[0]
         if abs(t.sum() - 1.0) > 1e-9 or np.any(t < 0):
             violations += 1
 

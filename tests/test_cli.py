@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from smlsom import Assignment, Dataset, load_faithful, read_dataset
+from smlsom import Assignment, load_faithful, read_dataset
 from smlsom.cli import main
 from smlsom.io import read_label_column, write_assignment, write_dataset
 
@@ -85,10 +85,22 @@ class TestFit:
         )
         assert rc == 2
 
-    def test_usage_error_exit_code(self, tmp_path):
+    def test_missing_value_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--input"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--rows", "0"], ["--beta", "-1"], ["--alpha", "2", "0.1"], ["--tau-max", "0"], ["--restarts", "0"]],
+        ids=lambda flags: flags[0].lstrip("-"),
+    )
+    def test_usage_error_exit_code(self, tmp_path, blob_csv, capsys, flags):
+        path, _ = blob_csv
+        model = tmp_path / "m.json"
+        assert main(["fit", "--input", str(path), "--out", str(model), *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not model.exists()
 
     def test_unknown_command_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -118,11 +130,31 @@ class TestScore:
         rc = main(["score", "--model", str(model), "--input", str(other)])
         assert rc == 2
 
-    def test_corrupt_model_is_data_error(self, tmp_path, blob_csv):
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["not-json", "not-an-object", "unknown-family", "no-nodes", "missing-nodes", "edge-to-a-missing-node", "duplicate-id"],
+    )
+    def test_corrupt_model_is_data_error(self, tmp_path, blob_csv, capsys, corrupt):
         path, _ = blob_csv
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["score", "--model", str(bad), "--input", str(path)]) == 2
+        model = tmp_path / "model.json"
+        main(["fit", "--input", str(path), "--out", str(model), "--seed", "0"])
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        if corrupt == "not-an-object":
+            doc = [doc]
+        elif corrupt == "unknown-family":
+            doc["family"] = "poisson"
+        elif corrupt == "no-nodes":
+            doc["nodes"], doc["edges"] = [], []
+        elif corrupt == "missing-nodes":
+            del doc["nodes"]
+        elif corrupt == "edge-to-a-missing-node":
+            doc["edges"].append([doc["nodes"][0]["id"], 999])
+        elif corrupt == "duplicate-id":
+            doc["nodes"][1]["id"] = doc["nodes"][0]["id"]
+        model.write_text("{not json" if corrupt == "not-json" else json.dumps(doc))
+        assert main(["score", "--model", str(model), "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestEval:

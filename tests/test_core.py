@@ -5,15 +5,14 @@ import pytest
 
 from smlsom import (
     Dataset,
+    GaussianFamily,
+    GaussParams,
     MapGraph,
     Schedule,
-    hop_distance,
     lattice_graph,
-    neighborhood_indicator,
-    schedule_alpha,
+    mlsom_train,
     schedule_alphas,
     schedule_radii,
-    schedule_radius,
 )
 from smlsom.errors import DataError
 
@@ -38,7 +37,7 @@ class TestLattice:
 
     def test_interior_hex_degree_is_six(self):
         g = lattice_graph(5, 5, "hexagonal")
-        assert g.degree(12) == 6  # center of a 5x5 grid
+        assert len(g.neighbors(12)) == 6  # center of a 5x5 grid
 
     @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 1), (4, 3), (5, 5), (1, 7)])
     @pytest.mark.parametrize("kind", ["rectangular", "hexagonal"])
@@ -51,6 +50,12 @@ class TestLattice:
             lattice_graph(0, 3)
         with pytest.raises(ValueError):
             lattice_graph(1, 1)
+
+
+def hop_distance(g, c, m):
+    """Hop distance from c to m as ``MapGraph.hops_from`` gives it; math.inf
+    when m is unreachable."""
+    return g.hops_from(c).get(m, math.inf)
 
 
 class TestHopDistance:
@@ -68,6 +73,7 @@ class TestHopDistance:
 
     def test_unreachable(self):
         g = MapGraph(nodes=[0, 1])
+        assert g.hops_from(0) == {0: 0}
         assert hop_distance(g, 0, 1) == math.inf
 
     @pytest.mark.parametrize("kind", ["rectangular", "hexagonal"])
@@ -83,58 +89,78 @@ class TestHopDistance:
                     assert d[a, c] <= d[a, b] + d[b, c]
 
 
+def updated_nodes(graph, winner, r1, tau_max):
+    """Nodes a training run moves when every draw is the mean of ``winner``.
+
+    Nodes sit one unit apart on a line with identity covariances, so the
+    winner of every step is ``winner``. The first step's radius is
+    r1 * (1 - 2 / tau_max) and every later step's is smaller, so the nodes
+    the run moves are those within the first step's radius.
+    """
+    ids = graph.nodes
+    params = {m: GaussParams([float(m)], [[1.0]]) for m in ids}
+    data = Dataset(np.full((2, 1), float(winner)))
+    sched = Schedule(r1=r1, tau_max=tau_max)
+    winners = []
+    out = mlsom_train(data, graph, params, sched, np.random.default_rng(0), GaussianFamily(), winner_log=winners)
+    assert set(winners) == {winner}
+    return {m for m in ids if not np.array_equal(out[m].sigma, params[m].sigma)}
+
+
 class TestNeighborhoodIndicator:
+    """Which nodes a training step moves: those within the radius, the
+    boundary included."""
+
     def test_winner_always_updates(self):
-        assert neighborhood_indicator(0, 0.5) == 1
+        assert updated_nodes(lattice_graph(1, 5, "rectangular"), 2, 0.5, 1) == {2}
 
     def test_hard_phase_excludes_neighbors(self):
-        assert neighborhood_indicator(1, 0.5) == 0
+        # a radius of exactly 1 on the first step moves the neighbors; 0.5 does not
+        assert updated_nodes(lattice_graph(1, 5, "rectangular"), 0, 2.0, 4) == {0, 1}
+        assert updated_nodes(lattice_graph(1, 5, "rectangular"), 0, 1.0, 4) == {0}
 
     def test_boundary_inclusive(self):
-        assert neighborhood_indicator(2, 2.0) == 1
+        assert schedule_radii(Schedule(r1=4.0, tau_max=4))[0] == 2.0
+        assert updated_nodes(lattice_graph(1, 5, "rectangular"), 0, 4.0, 4) == {0, 1, 2}
 
     def test_unreachable_is_outside(self):
-        assert neighborhood_indicator(math.inf, 100.0) == 0
+        g = MapGraph(nodes=range(4), edges=[(0, 1), (2, 3)])
+        assert updated_nodes(g, 0, 100.0, 4) == {0, 1}
 
     def test_half_radius_selects_winner_only(self):
-        for d in range(0, 6):
-            assert neighborhood_indicator(d, 0.5) == (1 if d == 0 else 0)
+        # r1 = 0.5 keeps every radius below 1
+        for c in range(6):
+            assert updated_nodes(lattice_graph(1, 6, "rectangular"), c, 0.5, 3) == {c}
 
 
 class TestSchedules:
     def test_alpha_endpoints(self):
         s = Schedule(alpha0=0.05, alpha1=0.01, r1=2, tau_max=5)
-        assert schedule_alpha(s, 1) == pytest.approx(0.05)
-        assert schedule_alpha(s, 5) == pytest.approx(0.01)
+        alphas = schedule_alphas(s)
+        assert alphas[0] == pytest.approx(0.05)
+        assert alphas[-1] == pytest.approx(0.01)
 
     def test_alpha_midpoint(self):
         s = Schedule(alpha0=0.05, alpha1=0.01, r1=2, tau_max=5)
-        assert schedule_alpha(s, 3) == pytest.approx(0.03)
+        assert schedule_alphas(s)[2] == pytest.approx(0.03)
 
     def test_alpha_single_step(self):
         s = Schedule(alpha0=0.05, alpha1=0.01, r1=2, tau_max=1)
-        assert schedule_alpha(s, 1) == 0.05
+        assert schedule_alphas(s).tolist() == [0.05]
 
     def test_radius_decay_and_clamp(self):
-        s = Schedule(r1=2, tau_max=6)
-        assert schedule_radius(s, 1) == pytest.approx(2 - 4 / 6)
-        assert schedule_radius(s, 3) == 0.5  # raw value 0 clamps
-        assert schedule_radius(s, 6) == 0.5
+        radii = schedule_radii(Schedule(r1=2, tau_max=6))
+        assert radii[0] == pytest.approx(2 - 4 / 6)
+        assert radii[2] == 0.5  # raw value 0 clamps
+        assert radii[5] == 0.5
 
     @pytest.mark.parametrize("tau_max", [1, 2, 7, 50])
     def test_monotone_non_increasing(self, tau_max):
         s = Schedule(alpha0=0.05, alpha1=0.01, r1=3.0, tau_max=tau_max)
-        alphas = [schedule_alpha(s, t) for t in range(1, tau_max + 1)]
-        radii = [schedule_radius(s, t) for t in range(1, tau_max + 1)]
-        assert all(a >= b for a, b in zip(alphas, alphas[1:]))
-        assert all(a >= b for a, b in zip(radii, radii[1:]))
-
-    def test_tau_out_of_range(self):
-        s = Schedule(r1=2, tau_max=5)
-        with pytest.raises(ValueError):
-            schedule_alpha(s, 0)
-        with pytest.raises(ValueError):
-            schedule_radius(s, 6)
+        alphas, radii = schedule_alphas(s), schedule_radii(s)
+        assert len(alphas) == len(radii) == tau_max
+        assert np.all(np.diff(alphas) <= 0)
+        assert np.all(np.diff(radii) <= 0)
 
     @pytest.mark.parametrize("tau_max", [1, 2, 3, 1000, 20000])
     @pytest.mark.parametrize("r1", [0.5, 1.0, 2, 8 * 2.0 / 3.0, 5.3])
@@ -145,9 +171,6 @@ class TestSchedules:
         assert alphas.dtype == radii.dtype == np.float64
         np.testing.assert_array_equal(alphas, [oracle_alpha(s, t) for t in taus])
         np.testing.assert_array_equal(radii, [oracle_radius(s, t) for t in taus])
-        for t in (1, tau_max, (tau_max + 1) // 2):
-            assert schedule_alpha(s, t) == oracle_alpha(s, t)
-            assert schedule_radius(s, t) == oracle_radius(s, t)
 
     def test_invalid_schedule(self):
         with pytest.raises(ValueError):
@@ -179,7 +202,7 @@ class TestMapGraph:
         g = lattice_graph(2, 2, "rectangular")
         h = g.copy()
         h.remove_node(0)
-        assert g.has_node(0) and not h.has_node(0)
+        assert 0 in g.nodes and 0 not in h.nodes
 
 
 class TestDataset:

@@ -45,6 +45,8 @@ class TestDefaults:
         with pytest.raises(ValueError):
             FitConfig(rows=1, cols=1)
         with pytest.raises(ValueError):
+            FitConfig(rows=-1, cols=-3)
+        with pytest.raises(ValueError):
             FitConfig(beta=-1.0)
         with pytest.raises(ValueError):
             FitConfig(family="poisson")
@@ -249,7 +251,19 @@ class TestFit:
         assert files["strided"].read_bytes() == files["c"].read_bytes()
 
 
+    def test_random_init_needs_a_sample_per_node(self):
+        data = Dataset(np.random.default_rng(0).normal(size=(5, 2)))
+        with pytest.raises(DataError, match=r"n=5 .* 9 nodes"):
+            smlsom_fit(data, FitConfig(init="random"))
+
+
 class TestRestarts:
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_rejects_fewer_than_one_restart(self, restarts):
+        data = Dataset(np.random.default_rng(0).normal(size=(20, 2)))
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            smlsom_fit_restarts(data, FitConfig(), restarts=restarts)
+
     def test_picks_lowest_mdl(self):
         rng = np.random.default_rng(14)
         data, _ = blobs(rng, [(-5.0, 0.0), (5.0, 0.0)], 150)

@@ -19,14 +19,13 @@ from smlsom import (
     SmlsomError,
     gauss_batch,
     gauss_df,
-    gauss_loglik,
-    gauss_update,
+    gauss_loglik_rows,
     lattice_graph,
     schedule_alphas,
     schedule_radii,
 )
 from smlsom._kernel import kernel_path, load_kernel
-from smlsom.gaussian import _REFRESH_EVERY, gauss_loglik_rows
+from smlsom.gaussian import _REFRESH_EVERY
 from smlsom.mlsom import neighbor_table
 
 from oracles import OracleGaussTrainState, dense_gauss_loglik, random_pd_matrix
@@ -51,23 +50,30 @@ def assert_matches_oracle(state, oracle):
     assert np.all(np.abs(state.logdets - oracle.logdets) <= 1e-9 * np.maximum(1.0, np.abs(oracle.logdets)))
 
 
+def loglik_at(x, theta):
+    """Log density at one sample, through the row-wise path on a one-row X."""
+    return gauss_loglik_rows(np.atleast_2d(np.asarray(x, dtype=float)), theta)[0]
+
+
+def one_node_state(theta):
+    """A training state holding the single node theta; ``update(0, x, a)``
+    is the kernel's node step."""
+    return GaussianFamily().make_state([theta])
+
+
 class TestLoglik:
     def test_standard_normal_at_mode(self):
         theta = GaussParams([0.0], [[1.0]])
-        assert gauss_loglik(np.array([0.0]), theta) == pytest.approx(
-            -0.5 * math.log(2 * math.pi), abs=1e-12
-        )
+        assert loglik_at([0.0], theta) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_identity_cov_at_mean(self):
         theta = GaussParams([1.0, -2.0], np.eye(2))
-        assert gauss_loglik(np.array([1.0, -2.0]), theta) == pytest.approx(
-            -math.log(2 * math.pi), abs=1e-12
-        )
+        assert loglik_at([1.0, -2.0], theta) == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
 
     def test_diagonal_case_vs_dense_oracle(self):
         theta = GaussParams([0.0, 0.0], np.diag([4.0, 1.0]))
         x = np.array([1.0, 0.0])
-        assert gauss_loglik(x, theta) == pytest.approx(
+        assert loglik_at(x, theta) == pytest.approx(
             dense_gauss_loglik(x, [0, 0], np.diag([4.0, 1.0])), rel=1e-12
         )
 
@@ -78,43 +84,44 @@ class TestLoglik:
             mu = rng.normal(size=p)
             sigma = random_pd_matrix(rng, p)
             x = rng.normal(size=p)
-            got = gauss_loglik(x, GaussParams(mu, sigma))
+            got = loglik_at(x, GaussParams(mu, sigma))
             want = dense_gauss_loglik(x, mu, sigma)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     def test_rows_matches_scalar(self):
+        # many rows at once agree with one row at a time and with the dense oracle
         rng = np.random.default_rng(3)
         theta = GaussParams(rng.normal(size=3), random_pd_matrix(rng, 3))
         X = rng.normal(size=(10, 3))
         rows = gauss_loglik_rows(X, theta)
         for i in range(10):
-            assert rows[i] == pytest.approx(gauss_loglik(X[i], theta), rel=1e-12)
+            assert rows[i] == pytest.approx(loglik_at(X[i], theta), rel=1e-12)
+            assert rows[i] == pytest.approx(dense_gauss_loglik(X[i], theta.mu, theta.sigma), rel=1e-9)
 
 
 class TestUpdate:
+    """The kernel's node step on a one-node training state."""
+
     def test_zero_rate_is_identity(self):
         rng = np.random.default_rng(0)
         theta = GaussParams(rng.normal(size=2), random_pd_matrix(rng, 2))
-        out = gauss_update(theta, rng.normal(size=2), 0.0)
-        np.testing.assert_array_equal(out.mu, theta.mu)
-        np.testing.assert_array_equal(out.sigma, theta.sigma)
+        state = one_node_state(theta)
+        state.update(0, rng.normal(size=2), 0.0)
+        np.testing.assert_array_equal(state.mus[0], theta.mu)
+        np.testing.assert_array_equal(state.sigmas[0], theta.sigma)
 
     def test_sample_at_mean_shrinks_sigma(self):
         theta = GaussParams([1.0, 2.0], 2.0 * np.eye(2))
-        out = gauss_update(theta, np.array([1.0, 2.0]), 0.25)
-        np.testing.assert_allclose(out.mu, theta.mu)
-        np.testing.assert_allclose(out.sigma, 0.75 * theta.sigma)
+        state = one_node_state(theta)
+        state.update(0, np.array([1.0, 2.0]), 0.25)
+        np.testing.assert_allclose(state.mus[0], theta.mu)
+        np.testing.assert_allclose(state.sigmas[0], 0.75 * theta.sigma)
 
     def test_hand_evaluated_1d_step(self):
-        theta = GaussParams([0.0], [[1.0]])
-        out = gauss_update(theta, np.array([2.0]), 0.5)
-        assert out.mu[0] == pytest.approx(1.0)
-        assert out.sigma[0, 0] == pytest.approx(1.5)
-
-    def test_rejects_bad_rate(self):
-        theta = GaussParams([0.0], [[1.0]])
-        with pytest.raises(ValueError):
-            gauss_update(theta, np.array([1.0]), 1.0)
+        state = one_node_state(GaussParams([0.0], [[1.0]]))
+        state.update(0, np.array([2.0]), 0.5)
+        assert state.mus[0, 0] == pytest.approx(1.0)
+        assert state.sigmas[0, 0, 0] == pytest.approx(1.5)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -124,10 +131,11 @@ class TestUpdate:
     )
     def test_preserves_symmetry_and_psd(self, seed, a, p):
         rng = np.random.default_rng(seed)
-        theta = GaussParams(rng.normal(size=p), random_pd_matrix(rng, p))
-        out = gauss_update(theta, rng.normal(size=p, scale=3.0), a)
-        np.testing.assert_array_equal(out.sigma, out.sigma.T)
-        assert np.linalg.eigvalsh(out.sigma).min() > -1e-10
+        state = one_node_state(GaussParams(rng.normal(size=p), random_pd_matrix(rng, p)))
+        state.update(0, rng.normal(size=p, scale=3.0), a)
+        sigma = state.sigmas[0]
+        np.testing.assert_array_equal(sigma, sigma.T)
+        assert np.linalg.eigvalsh(sigma).min() > -1e-10
 
     def test_converges_to_distribution_moments(self):
         # stochastic-approximation fixed point: decaying-rate replay of
@@ -135,13 +143,12 @@ class TestUpdate:
         rng = np.random.default_rng(42)
         true_mu = np.array([1.0, -1.0])
         true_sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
-        theta = GaussParams([0.0, 0.0], np.eye(2))
+        state = one_node_state(GaussParams([0.0, 0.0], np.eye(2)))
         n_steps = 20_000
         for t in range(1, n_steps + 1):
-            x = rng.multivariate_normal(true_mu, true_sigma)
-            theta = gauss_update(theta, x, 1.0 / (t + 1.0))
-        np.testing.assert_allclose(theta.mu, true_mu, atol=0.15)
-        np.testing.assert_allclose(theta.sigma, true_sigma, atol=0.25)
+            state.update(0, rng.multivariate_normal(true_mu, true_sigma), 1.0 / (t + 1.0))
+        np.testing.assert_allclose(state.mus[0], true_mu, atol=0.15)
+        np.testing.assert_allclose(state.sigmas[0], true_sigma, atol=0.25)
 
 
 class TestTrainState:
@@ -387,6 +394,6 @@ class TestParamsValidation:
         thetas = [GaussParams(m, np.eye(3)) for m in mus]
         for _ in range(50):
             x = rng.normal(size=3, scale=2.0)
-            by_ll = int(np.argmax([gauss_loglik(x, t) for t in thetas]))
+            by_ll = int(np.argmax([loglik_at(x, t) for t in thetas]))
             by_dist = int(np.argmin([np.sum((x - m) ** 2) for m in mus]))
             assert by_ll == by_dist

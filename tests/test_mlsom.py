@@ -10,15 +10,20 @@ from smlsom import (
     MultinomParams,
     Schedule,
     classify,
-    find_winner,
-    gauss_update,
     lattice_graph,
     loglik_matrix,
     mlsom_train,
-    schedule_alpha,
 )
+from smlsom.mlsom import ml_winners
 
-from oracles import OracleGaussianFamily, OracleMultinomialFamily, random_pd_matrix
+from oracles import (
+    OracleGaussianFamily,
+    OracleMultinomialFamily,
+    moment_step,
+    oracle_alpha,
+    oracle_radius,
+    random_pd_matrix,
+)
 
 FAMILY = GaussianFamily()
 
@@ -29,6 +34,13 @@ def blob_data(rng, centers, n_per, scale=0.3):
     )
     labels = np.repeat(np.arange(len(centers)), n_per)
     return Dataset(X), labels
+
+
+def find_winner(x, params, family):
+    """The winner of one sample, found as the fit finds winners: the
+    argmax over the rows of the log-likelihood matrix."""
+    data = Dataset(np.vstack([x, x]))  # a dataset holds at least two rows
+    return int(ml_winners(loglik_matrix(data, params, family), sorted(params))[0])
 
 
 class TestFindWinner:
@@ -63,9 +75,9 @@ class TestTrain:
 
         drawn = np.random.default_rng(1).integers(20)
         out = mlsom_train(data, g, {0: theta0}, sched, np.random.default_rng(1), FAMILY)
-        expected = gauss_update(theta0, data.values[drawn], schedule_alpha(sched, 1))
-        np.testing.assert_allclose(out[0].mu, expected.mu, atol=1e-12)
-        np.testing.assert_allclose(out[0].sigma, expected.sigma, atol=1e-12)
+        mu, sigma = moment_step(theta0.mu, theta0.sigma, data.values[drawn] - theta0.mu, oracle_alpha(sched, 1))
+        np.testing.assert_allclose(out[0].mu, mu, atol=1e-12)
+        np.testing.assert_allclose(out[0].sigma, sigma, atol=1e-12)
 
     def test_hard_phase_updates_winner_only(self):
         rng = np.random.default_rng(4)
@@ -216,8 +228,6 @@ class TestKohonenReduction:
 
         # plain Euclidean SOM replaying the identical sample order
         hops = g.all_pairs_hops()
-        from smlsom import schedule_alpha as s_alpha, schedule_radius as s_radius
-
         mus = {m: mus0[m].copy() for m in range(9)}
         rng2 = np.random.default_rng(7)
         expected = []
@@ -225,8 +235,8 @@ class TestKohonenReduction:
             x = data.values[rng2.integers(200)]
             c = min(range(9), key=lambda m: (np.dot(x - mus[m], x - mus[m]), m))
             expected.append(c)
-            radius = s_radius(sched, tau)
-            alpha = s_alpha(sched, tau)
+            radius = oracle_radius(sched, tau)
+            alpha = oracle_alpha(sched, tau)
             for m in range(9):
                 if hops[c].get(m, np.inf) <= radius:
                     mus[m] = mus[m] + alpha * (x - mus[m])

@@ -17,14 +17,12 @@ from smlsom import (
     lattice_graph,
     multinom_batch,
     multinom_df,
-    multinom_loglik,
-    multinom_update,
     schedule_alphas,
     schedule_radii,
     smlsom_fit,
 )
 from smlsom.mlsom import NeighborTable, neighbor_table
-from smlsom.multinomial import THETA_FLOOR
+from smlsom.multinomial import multinom_loglik_rows
 
 from oracles import OracleMultinomTrainState, exact_multinom_pmf
 
@@ -44,20 +42,36 @@ def count_rows(rng, n, p, zero_share=0.1):
     return np.vstack([rng.multinomial(t, profiles[k]) for t, k in zip(totals, rng.integers(4, size=n))]).astype(float)
 
 
+def loglik_at(x, theta):
+    """Log pmf at one count row, through the row-wise path on a one-row X."""
+    return multinom_loglik_rows(np.atleast_2d(np.asarray(x, dtype=float)), theta)[0]
+
+
+def one_node_state(theta):
+    """A training state holding the single node theta; ``update(0, x, a)``
+    is the kernel's node step."""
+    return MultinomialFamily().make_state([theta])
+
+
+def stepped(theta, x, a):
+    """theta's probabilities after one kernel node step toward x at rate a."""
+    state = one_node_state(theta)
+    state.update(0, np.asarray(x, dtype=float), a)
+    return state.thetas[0]
+
+
 class TestLoglik:
     def test_empty_trial(self):
         theta = MultinomParams([0.25, 0.75])
-        assert multinom_loglik(np.zeros(2), theta) == pytest.approx(0.0, abs=1e-12)
+        assert loglik_at(np.zeros(2), theta) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_trial(self):
         theta = MultinomParams([0.25, 0.75])
-        assert multinom_loglik(np.array([1.0, 0.0]), theta) == pytest.approx(
-            math.log(0.25), abs=1e-9
-        )
+        assert loglik_at([1.0, 0.0], theta) == pytest.approx(math.log(0.25), abs=1e-9)
 
     def test_hand_evaluated_pmf(self):
         theta = MultinomParams([0.5, 0.25, 0.25])
-        got = multinom_loglik(np.array([2.0, 1.0, 1.0]), theta)
+        got = loglik_at([2.0, 1.0, 1.0], theta)
         assert got == pytest.approx(math.log(12 * 0.5**2 * 0.25 * 0.25), abs=1e-9)
 
     def test_vs_exact_factorial_oracle(self):
@@ -67,26 +81,25 @@ class TestLoglik:
             theta = rng.dirichlet(np.ones(p))
             total = rng.integers(0, 13)
             x = rng.multinomial(total, theta)
-            got = multinom_loglik(x.astype(float), MultinomParams(theta))
+            got = loglik_at(x, MultinomParams(theta))
             want = math.log(exact_multinom_pmf(x, MultinomParams(theta).theta))
             assert got == pytest.approx(want, abs=1e-9)
 
 
 class TestUpdate:
+    """The kernel's node step on a one-node training state."""
+
     def test_zero_row_is_identity(self):
         theta = MultinomParams([0.3, 0.7])
-        out = multinom_update(theta, np.zeros(2), 0.5)
-        np.testing.assert_array_equal(out.theta, theta.theta)
+        np.testing.assert_array_equal(stepped(theta, np.zeros(2), 0.5), theta.theta)
 
     def test_zero_rate_is_identity(self):
         theta = MultinomParams([0.3, 0.7])
-        out = multinom_update(theta, np.array([4.0, 1.0]), 0.0)
-        np.testing.assert_allclose(out.theta, theta.theta, atol=1e-12)
+        np.testing.assert_allclose(stepped(theta, [4.0, 1.0], 0.0), theta.theta, atol=1e-12)
 
     def test_hand_evaluated_step(self):
         theta = MultinomParams([0.5, 0.5])
-        out = multinom_update(theta, np.array([3.0, 1.0]), 0.2)
-        np.testing.assert_allclose(out.theta, [0.55, 0.45], atol=1e-12)
+        np.testing.assert_allclose(stepped(theta, [3.0, 1.0], 0.2), [0.55, 0.45], atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 10_000), a=st.floats(0.0, 0.999), p=st.integers(2, 6))
@@ -94,9 +107,9 @@ class TestUpdate:
         rng = np.random.default_rng(seed)
         theta = MultinomParams(rng.dirichlet(np.ones(p)))
         x = rng.integers(0, 20, size=p).astype(float)
-        out = multinom_update(theta, x, a)
-        assert np.all(out.theta >= 0)
-        assert out.theta.sum() == pytest.approx(1.0, abs=1e-12)
+        out = stepped(theta, x, a)
+        assert np.all(out >= 0)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBatch:
@@ -128,10 +141,10 @@ class TestBatch:
         X = rng.integers(0, 10, size=(30, 4)).astype(float)
         X[X.sum(axis=1) == 0, 0] = 1
         batch = multinom_batch(X)
-        theta = MultinomParams(np.full(4, 0.25))
+        state = one_node_state(MultinomParams(np.full(4, 0.25)))
         for t in range(1, 30_000):
-            theta = multinom_update(theta, X[rng.integers(30)], 1.0 / (t + 1.0))
-        np.testing.assert_allclose(theta.theta, batch.theta, atol=0.02)
+            state.update(0, X[rng.integers(30)], 1.0 / (t + 1.0))
+        np.testing.assert_allclose(state.thetas[0], batch.theta, atol=0.02)
 
 
 class TestDf:
@@ -149,7 +162,7 @@ class TestFloor:
         theta = MultinomParams([1.0, 0.0])
         assert theta.theta[1] >= 1e-10
         x = np.array([0.0, 3.0])
-        assert math.isfinite(multinom_loglik(x, theta))
+        assert math.isfinite(loglik_at(x, theta))
 
 
 class TestTrainState:

@@ -14,12 +14,11 @@ from smlsom import (
     classify,
     cut_weak_links,
     kl_estimate,
-    link_weakness,
     loglik_matrix,
     mdl_score,
     try_delete_node,
 )
-from oracles import oracle_gauss_kl, oracle_mdl, oracle_try_delete_node, random_pd_matrix
+from oracles import dense_gauss_loglik, oracle_gauss_kl, oracle_mdl, oracle_try_delete_node, random_pd_matrix
 
 GAUSS = GaussianFamily()
 MULTINOM = MultinomialFamily()
@@ -43,12 +42,28 @@ def two_blob_fixture(rng, sep=20.0, n_per=150):
     return data, g, params, assignment
 
 
+def kl_between(x, theta_m, theta_l, family):
+    """kl_estimate of D(theta_m || theta_l) over the samples x."""
+    return kl_estimate(family.loglik_rows(x, theta_m), family.loglik_rows(x, theta_l))
+
+
+def link_weakness(data, assignment, params, m, l, family):
+    """The symmetrized weakness ``cut_weak_links`` compares with its
+    threshold: the mean of the two one-sided estimates, each over its own
+    node's members, read from the cycle's log-likelihood matrix."""
+    row = dict(zip(sorted(params), loglik_matrix(data, params, family)))
+    own_m, own_l = assignment.members(m), assignment.members(l)
+    d_ml = kl_estimate(row[m][own_m], row[l][own_m])
+    d_lm = kl_estimate(row[l][own_l], row[m][own_l])
+    return 0.5 * d_ml + 0.5 * d_lm
+
+
 class TestKlEstimate:
     def test_identical_params_give_zero(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(50, 2))
         theta = GaussParams([0.0, 0.0], np.eye(2))
-        assert kl_estimate(x, theta, theta, GAUSS) == pytest.approx(0.0, abs=1e-12)
+        assert kl_between(x, theta, theta, GAUSS) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_closed_form_when_sampling_from_m(self):
         # sample-based estimate vs the closed-form Gaussian KL
@@ -56,7 +71,7 @@ class TestKlEstimate:
         theta_m = GaussParams([0.0, 0.0], np.eye(2))
         theta_l = GaussParams([1.5, -0.5], [[2.0, 0.3], [0.3, 1.0]])
         x = rng.multivariate_normal(theta_m.mu, theta_m.sigma, size=20000)
-        est = kl_estimate(x, theta_m, theta_l, GAUSS)
+        est = kl_between(x, theta_m, theta_l, GAUSS)
         exact = oracle_gauss_kl(
             theta_m.mu, theta_m.sigma, theta_l.mu, theta_l.sigma
         )
@@ -68,14 +83,14 @@ class TestKlEstimate:
         near = GaussParams([1.0, 0.0], np.eye(2))
         far = GaussParams([8.0, 0.0], np.eye(2))
         x = rng.multivariate_normal(theta_m.mu, theta_m.sigma, size=2000)
-        assert kl_estimate(x, theta_m, far, GAUSS) > kl_estimate(x, theta_m, near, GAUSS)
+        assert kl_between(x, theta_m, far, GAUSS) > kl_between(x, theta_m, near, GAUSS)
 
     def test_multinomial_case(self):
         theta_m = MultinomParams([0.5, 0.3, 0.2])
         theta_l = MultinomParams([0.2, 0.3, 0.5])
         rng = np.random.default_rng(3)
         x = rng.multinomial(30, theta_m.theta, size=5000).astype(float)
-        est = kl_estimate(x, theta_m, theta_l, MultinomialFamily())
+        est = kl_between(x, theta_m, theta_l, MultinomialFamily())
         exact = 30 * np.sum(
             theta_m.theta * (np.log(theta_m.theta) - np.log(theta_l.theta))
         )
@@ -154,14 +169,14 @@ class TestMdlScore:
                 m: GaussParams(rng.normal(size=p), random_pd_matrix(rng, p))
                 for m in range(k)
             }
-            from smlsom import classify, gauss_loglik
+            from smlsom import classify
 
             assignment = classify(data, params, GAUSS)
             score = mdl_score(data, assignment, params, GAUSS)
             want = oracle_mdl(
                 x,
                 assignment.m,
-                [(m, lambda row, t=t: _ll(row, t)) for m, t in params.items()],
+                [(m, lambda row, t=t: dense_gauss_loglik(row, t.mu, t.sigma)) for m, t in params.items()],
                 per_node_df=p + p * (p + 1) // 2,
             )
             assert score.total == pytest.approx(want, rel=1e-9)
@@ -193,11 +208,6 @@ class TestMdlScore:
         two = mdl_score(data, Assignment(half), {0: theta, 1: theta}, GAUSS)
         assert two.complexity > one.complexity
 
-
-def _ll(row, theta):
-    from smlsom import gauss_loglik
-
-    return gauss_loglik(row, theta)
 
 
 class TestTryDeleteNode:
