@@ -119,9 +119,6 @@ class MapGraph:
     def has_edge(self, m: int, l: int) -> bool:
         return l in self._nodes.get(m, ())
 
-    def neighbors(self, m: int) -> list[int]:
-        return sorted(self._nodes[m])
-
     def __len__(self) -> int:
         return len(self._nodes)
 

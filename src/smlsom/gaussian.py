@@ -33,6 +33,10 @@ _LOG_2PI = np.log(2.0 * np.pi)
 _JITTER_STEPS = (1e-10, 1e-8, 1e-6)
 _SYM_TOL = 1e-10
 _REFRESH_EVERY = 50  # rank-one updates of a training-state node between factorizations
+# A closed-form batch neg-loglik is trusted only while the covariance's
+# smallest eigenvalue exceeds this share of the rows' largest raw second
+# moment, which bounds the relative round-off of the log-determinant.
+_CLOSED_FORM_MIN_EIG = 1e-8
 
 
 def _factorize(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,6 +109,51 @@ def gauss_batch(samples: np.ndarray) -> GaussParams:
     mu = X.mean(axis=0)
     sigma = (X.T @ X) / X.shape[0] - np.outer(mu, mu)
     return GaussParams(mu, 0.5 * (sigma + sigma.T))
+
+
+def gauss_batch_stats(X: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Sufficient statistics of ``gauss_batch_neg_loglik``, one row per group
+    of rows of X (``groups[i]`` is row i's group): the count, the sums of
+    x - xbar and of the upper triangle of (x - xbar)(x - xbar)^T, and the
+    sums of x^2. They add up over disjoint groups. Centring at the mean xbar
+    of all of X keeps the covariance's precision when the data sit far from
+    the origin; the uncentred squares measure how much round-off an exact
+    fit on the raw rows suffers."""
+    X = np.asarray(X, dtype=float)
+    D = X - X.mean(axis=0)
+    p = X.shape[1]
+    cols = [np.bincount(groups, minlength=n_groups).astype(float)]
+    cols += [np.bincount(groups, D[:, j], n_groups) for j in range(p)]
+    cols += [np.bincount(groups, D[:, j] * D[:, l], n_groups) for j, l in zip(*np.triu_indices(p))]
+    cols += [np.bincount(groups, X[:, j] * X[:, j], n_groups) for j in range(p)]
+    return np.column_stack(cols)
+
+
+def gauss_batch_neg_loglik(stats: np.ndarray, p: int) -> np.ndarray:
+    """Negative log-likelihood of each group's rows under its own batch fit,
+    from ``gauss_batch_stats`` of p-dimensional rows. With k rows, the fit's
+    quadratic forms sum to tr(Sigma^-1 k Sigma) = kp, leaving
+    k/2 (p(log 2pi + 1) + log|Sigma|).
+
+    0 for an empty group, and NaN where the closed form is not trusted and
+    the group needs an exact ``gauss_batch`` fit: at most p + 1 rows (a
+    singular or nearly singular covariance), or a smallest eigenvalue at or
+    below ``_CLOSED_FORM_MIN_EIG`` times the largest raw second moment, where
+    the exact fit's round-off, or the jitter of ``_factorize``, moves the
+    log-determinant.
+    """
+    k = stats[:, 0]
+    kk = np.maximum(k, 1.0)[:, None]
+    iu, ju = np.triu_indices(p)
+    S2 = np.empty((len(stats), p, p))
+    S2[:, iu, ju] = S2[:, ju, iu] = stats[:, 1 + p : 1 + p + len(iu)]
+    mu = stats[:, 1 : 1 + p] / kk
+    eig = np.linalg.eigvalsh(S2 / kk[:, :, None] - mu[:, :, None] * mu[:, None, :])
+    raw = (stats[:, -p:] / kk).max(axis=1)
+    trusted = (k > p + 1) & (eig[:, 0] > _CLOSED_FORM_MIN_EIG * raw)
+    logdet = np.log(np.where(trusted[:, None], eig, 1.0)).sum(axis=1)
+    neg = 0.5 * k * (p * (_LOG_2PI + 1.0) + logdet)
+    return np.where(trusted, neg, np.where(k == 0, 0.0, np.nan))
 
 
 def gauss_df(p: int) -> int:
@@ -198,11 +247,21 @@ class GaussianFamily:
     def loglik_rows(self, X, theta: GaussParams) -> np.ndarray:
         return gauss_loglik_rows(X, theta)
 
+    def loglik_members(self, X, idx, theta: GaussParams) -> np.ndarray:
+        """``loglik_rows(X[idx], theta)``."""
+        return gauss_loglik_rows(X[idx], theta)
+
     def loglik_matrix(self, X, thetas: list[GaussParams]) -> np.ndarray:
         return np.stack([gauss_loglik_rows(X, t) for t in thetas])
 
     def batch(self, samples) -> GaussParams:
         return gauss_batch(samples)
+
+    def batch_stats(self, X, groups, n_groups) -> np.ndarray:
+        return gauss_batch_stats(X, groups, n_groups)
+
+    def batch_neg_loglik(self, stats, p: int) -> np.ndarray:
+        return gauss_batch_neg_loglik(stats, p)
 
     def usable_rows(self, X) -> np.ndarray:
         """Which rows of X a batch fit learns from: all of them."""

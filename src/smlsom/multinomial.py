@@ -3,10 +3,15 @@
 Probabilities carry a small floor (with renormalization) so a count landing
 on a zero-probability category can never drive the log-likelihood to -inf.
 
+A row's log multinomial coefficient does not depend on the node, so the
+family computes it once for the data matrix of a fit (``log_coef``) and every
+later scoring, the cycle's matrix, the training draws, the deletion refits
+and ``mdl_score``, slices that one vector. It is element-wise, so a slice is
+bitwise the coefficient of the sliced rows.
+
 Training runs in the compiled kernel (``_kernel.c``, built and loaded by
-``_kernel``): one call trains a whole cycle. Numpy computes the
-multinomial coefficient of every drawn row once per cycle; the kernel
-scores each row under every node, moves the winner's neighbors toward the
+``_kernel``): one call trains a whole cycle. The kernel scores each drawn
+row under every node, moves the winner's neighbors toward the
 row's relative frequencies, floors and renormalizes them, and keeps their
 logs current. Probabilities come out bitwise equal to the same steps
 written in numpy whenever winners agree. Without a C compiler, training
@@ -55,16 +60,17 @@ def _log_coef(X: np.ndarray) -> np.ndarray:
     return gammaln(X.sum(axis=1) + 1.0) - gammaln(X + 1.0).sum(axis=1)
 
 
-def multinom_loglik_rows(X: np.ndarray, theta: MultinomParams) -> np.ndarray:
+def multinom_loglik_rows(X: np.ndarray, theta: MultinomParams, coef: np.ndarray | None = None) -> np.ndarray:
+    """Log-likelihood of every row of X; ``coef`` is the rows' ``_log_coef``
+    when the caller already has it."""
     X = np.asarray(X, dtype=float)
-    return _log_coef(X) + X @ np.log(theta.theta)
+    return (_log_coef(X) if coef is None else coef) + X @ np.log(theta.theta)
 
 
-def multinom_loglik_matrix(X: np.ndarray, thetas: list[MultinomParams]) -> np.ndarray:
-    """Rows of ``multinom_loglik_rows`` for every node, bitwise, with the
-    coefficient computed once."""
+def multinom_loglik_matrix(X: np.ndarray, thetas: list[MultinomParams], coef: np.ndarray) -> np.ndarray:
+    """Rows of ``multinom_loglik_rows`` for every node, bitwise, sharing the
+    rows' coefficient ``coef``."""
     X = np.asarray(X, dtype=float)
-    coef = _log_coef(X)
     return np.stack([coef + X @ np.log(t.theta) for t in thetas])
 
 
@@ -85,6 +91,38 @@ def multinom_batch(samples: np.ndarray) -> MultinomParams:
     return MultinomParams(freqs.mean(axis=0))
 
 
+def multinom_batch_stats(X: np.ndarray, coef: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Sufficient statistics of ``multinom_batch_neg_loglik``, one row per
+    group of rows of X (``groups[i]`` is row i's group): the number of rows
+    with a count, the sum of their relative frequencies, the sum of the
+    counts and the sum of the log coefficients ``coef``. They add up over
+    disjoint groups."""
+    totals = X.sum(axis=1)
+    usable = totals > 0
+    scale = np.where(usable, totals, 1.0)
+    cols = [np.bincount(groups, usable, n_groups)]
+    cols += [np.bincount(groups, X[:, j] / scale, n_groups) for j in range(X.shape[1])]
+    cols += [np.bincount(groups, X[:, j], n_groups) for j in range(X.shape[1])]
+    cols.append(np.bincount(groups, coef, n_groups))
+    return np.column_stack(cols)
+
+
+def multinom_batch_neg_loglik(stats: np.ndarray, p: int) -> np.ndarray:
+    """Negative log-likelihood of each group's rows under its own batch fit,
+    from ``multinom_batch_stats`` of p categories: −Σcoef − colsum·log θ,
+    with θ the mean relative frequency after ``MultinomParams``' floor and
+    renormalisation. A group with no count scores 0 under any parameters,
+    so the node's own parameters, which the deletion search keeps for it,
+    are not needed."""
+    usable, freqs, counts, coef = stats[:, 0], stats[:, 1 : 1 + p], stats[:, 1 + p : 1 + 2 * p], stats[:, -1]
+    # the sum of frequencies, not their mean: the renormalisation divides out the count
+    theta = np.where(usable[:, None] > 0, freqs, 1.0)
+    theta = theta / theta.sum(axis=1, keepdims=True)
+    theta = np.maximum(theta, 2.0 * THETA_FLOOR)
+    theta = theta / theta.sum(axis=1, keepdims=True)
+    return -(coef + np.einsum("ij,ij->i", counts, np.log(theta)))
+
+
 def multinom_df(p: int) -> int:
     """Free parameters per node: simplex dimension."""
     if p < 2:
@@ -99,8 +137,9 @@ class _MultinomTrainState:
     node update through the same kernel routine.
     """
 
-    def __init__(self, params_list: list[MultinomParams]):
+    def __init__(self, params_list: list[MultinomParams], log_coef):
         self._lib = kernel()
+        self._log_coef = log_coef  # the family's coefficient vector of a data matrix
         self.thetas = np.stack([t.theta for t in params_list])
         self.logthetas = np.log(self.thetas)
 
@@ -125,8 +164,8 @@ class _MultinomTrainState:
         """Train one cycle (see ``smlsom.mlsom_train``); returns each step's
         winner index."""
         M, p = self.thetas.shape
-        X, args = cycle_args(X, draws, alphas, radii, neighbors, M, p)
-        coef = _log_coef(X[draws])
+        rows, args = cycle_args(X, draws, alphas, radii, neighbors, M, p)  # rows: kept alive for the call
+        coef = self._log_coef(X)[draws]
         winners = np.empty(len(draws), dtype=np.int64)
         check_status(
             self._lib.multinom_train_cycle(
@@ -147,17 +186,41 @@ class MultinomialFamily:
 
     name = "multinomial"
 
+    def __init__(self):
+        self._coef = (None, None)  # the last data matrix seen and its rows' coefficients
+
     def validate(self, dataset):
         dataset.validate_counts()
+
+    def log_coef(self, X) -> np.ndarray:
+        """``_log_coef`` of every row of X, kept for the next call with the
+        same matrix: a fit passes its data matrix, never modified, to every
+        call, so the coefficients are computed once per fit."""
+        seen, coef = self._coef
+        if seen is not X:
+            coef = _log_coef(np.asarray(X, dtype=float))
+            self._coef = (X, coef)
+        return coef
 
     def loglik_rows(self, X, theta: MultinomParams) -> np.ndarray:
         return multinom_loglik_rows(X, theta)
 
+    def loglik_members(self, X, idx, theta: MultinomParams) -> np.ndarray:
+        """``loglik_rows(X[idx], theta)``, bitwise, with the coefficients
+        sliced from ``log_coef(X)``."""
+        return multinom_loglik_rows(X[idx], theta, self.log_coef(X)[idx])
+
     def loglik_matrix(self, X, thetas: list[MultinomParams]) -> np.ndarray:
-        return multinom_loglik_matrix(X, thetas)
+        return multinom_loglik_matrix(X, thetas, self.log_coef(X))
 
     def batch(self, samples) -> MultinomParams:
         return multinom_batch(samples)
+
+    def batch_stats(self, X, groups, n_groups) -> np.ndarray:
+        return multinom_batch_stats(np.asarray(X, dtype=float), self.log_coef(X), groups, n_groups)
+
+    def batch_neg_loglik(self, stats, p: int) -> np.ndarray:
+        return multinom_batch_neg_loglik(stats, p)
 
     def usable_rows(self, X) -> np.ndarray:
         """Which rows of X a batch fit learns from: those with a count."""
@@ -167,4 +230,4 @@ class MultinomialFamily:
         return multinom_df(p)
 
     def make_state(self, params_list):
-        return _MultinomTrainState(params_list)
+        return _MultinomTrainState(params_list, self.log_coef)

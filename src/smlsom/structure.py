@@ -3,13 +3,22 @@ score, and the node-deletion procedure with clique edge restoration.
 
 Link cutting and node deletion read the cycle's log-likelihood matrix
 (``mlsom.loglik_matrix``: row k holds the k-th smallest live id) rather
-than rescoring every sample. Node deletion scores each candidate by
-refitting only the survivors that receive the deleted node's samples; every
-other survivor keeps the same members for every candidate, so its batch fit
-and its share of the negative log-likelihood are computed once per call and
-reused. The reused values are the very floats a full refit would give, and
-they are summed in the same order, so each candidate's MDL is bitwise the
-one ``mdl_score`` would report for it.
+than rescoring every sample.
+
+Node deletion scores its candidates in two stages. The first estimates the
+MDL of deleting every node at once: each sample's destination if its node
+goes is one argmax over the matrix, and each node's and each (candidate,
+receiver) pair's sufficient statistics are bincounts, from which the family
+gives the neg-loglik of a batch fit in closed form (``batch_neg_loglik``).
+Parts the closed form cannot be trusted with, such as a Gaussian node with
+at most p+1 members, are fitted exactly. The second stage rescores exactly,
+by batch refits, only the candidates whose estimate is within
+``SHORTLIST_RTOL`` (relative) of the best estimate or of the current MDL,
+and adopts among them by the same rule as a full search. The exact scores
+are bitwise the ones ``mdl_score`` would report for the candidate maps, so
+the adopted map, its score and ties resolve as with an exact score for
+every candidate, provided each estimate is within the tolerance of its
+exact score.
 """
 
 from __future__ import annotations
@@ -20,9 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Assignment, Dataset, MapGraph
-from .mlsom import ml_winners
 
 _H_FLOOR = 1e-12
+# A deletion candidate is scored exactly when its estimate is within this
+# share of the reference (the best estimate or the current MDL) above it.
+SHORTLIST_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,7 +118,7 @@ def mdl_score(data: Dataset, assignment: Assignment, params: dict, family) -> Md
     for m in ids:
         idx = assignment.members(m)
         if idx.size:
-            neg -= float(family.loglik_rows(data.values[idx], params[m]).sum())
+            neg -= float(family.loglik_members(data.values, idx, params[m]).sum())
     return _mdl(neg, len(ids), data, family)
 
 
@@ -119,6 +130,132 @@ class DeletionResult:
     score: MdlScore  # MDL of the adopted map
     previous: MdlScore  # MDL of the map before the deletion attempt
     deleted: int | None
+
+
+def _destinations(ll: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Per sample, the row it moves to when its own row ``own`` is deleted:
+    the first maximum of its column of ``ll`` over the other rows, as
+    ``np.argmax`` over the column with that row removed gives it.
+
+    The own entries are set to -inf in ``ll`` itself for the argmax and put
+    back after it, which saves a copy of the matrix."""
+    cols = np.arange(ll.shape[1])
+    saved = ll[own, cols]
+    ll[own, cols] = -np.inf
+    try:
+        to = np.argmax(ll, axis=0)
+    finally:
+        ll[own, cols] = saved
+    # the masked row itself is the first maximum only when it is row 0 and
+    # every row is -inf; without it the first row left, row 1, is
+    return np.where(to == own, 1, to)
+
+
+class _DeletionSearch:
+    """Both scoring stages of one ``try_delete_node`` call.
+
+    Candidates are addressed by row (position in ascending id order). Each
+    sample has its own row and its destination row if its own node goes;
+    the (candidate, receiver) pairs that occur group the moved samples.
+    """
+
+    def __init__(self, data: Dataset, assignment: Assignment, params: dict, family, ll: np.ndarray):
+        self.ids = sorted(params)
+        self.M = M = len(self.ids)
+        self.id_of = np.asarray(self.ids)
+        self.X = data.values
+        self.usable = family.usable_rows(self.X)
+        self.data, self.assignment, self.params, self.family = data, assignment, params, family
+        own = np.minimum(np.searchsorted(self.id_of, assignment.m), M - 1)
+        if not np.array_equal(self.id_of[own], assignment.m):
+            raise ValueError("assignment names a node that has no parameters")
+        self.own, self.to = own, _destinations(ll, own)
+        key = own * M + self.to
+        pair_keys = np.flatnonzero(np.bincount(key, minlength=M * M))
+        self.cand, self.recv = np.divmod(pair_keys, M)  # pair j moves rows of cand[j] to recv[j]
+        lookup = np.empty(M * M, dtype=np.int64)
+        lookup[pair_keys] = np.arange(len(pair_keys))
+        self.pair_of = lookup[key]
+        self.node_fits = {}  # row -> fit on its current members
+        self.pair_fits = {}  # (candidate, receiver) -> receiver's fit on its new members
+
+    def members(self, k: int) -> np.ndarray:
+        return np.flatnonzero(self.own == k)
+
+    def receiver_rows(self, c: int, r: int) -> np.ndarray:
+        """Ascending sample rows of survivor r once candidate c is deleted."""
+        return np.flatnonzero((self.own == r) | ((self.own == c) & (self.to == r)))
+
+    def fit(self, k: int, idx: np.ndarray):
+        """Batch fit of row k's node on samples idx and their log-likelihood
+        (with no samples the node keeps its parameters and adds 0.0, which
+        leaves the running total bitwise unchanged, as skipping it does).
+        Samples a batch fit cannot learn from, such as all-zero counts, also
+        leave the parameters as they are; their part is still scored under
+        them."""
+        theta = self.params[self.ids[k]]
+        if not idx.size:
+            return theta, 0.0
+        if self.usable[idx].any():
+            theta = self.family.batch(self.X[idx])
+        return theta, float(self.family.loglik_members(self.X, idx, theta).sum())
+
+    def node_fit(self, k: int):
+        if k not in self.node_fits:
+            self.node_fits[k] = self.fit(k, self.members(k))
+        return self.node_fits[k]
+
+    def pair_fit(self, c: int, r: int):
+        if (c, r) not in self.pair_fits:
+            self.pair_fits[c, r] = self.fit(r, self.receiver_rows(c, r))
+        return self.pair_fits[c, r]
+
+    def estimates(self) -> np.ndarray:
+        """Estimated MDL total of deleting each candidate, by row.
+
+        Parts come from the family's closed form on sufficient statistics,
+        and from an exact fit where it returns NaN. A node's own part is
+        fitted only if some candidate leaves the node unchanged, so every
+        exact fit is one a full search would make too, and is kept for the
+        exact stage.
+        """
+        M, family = self.M, self.family
+        pair_stats = family.batch_stats(self.X, self.pair_of, len(self.cand))
+        node_stats = np.zeros((M, pair_stats.shape[1]))
+        np.add.at(node_stats, self.cand, pair_stats)
+        node_neg = family.batch_neg_loglik(node_stats, self.data.p)
+        pair_neg = family.batch_neg_loglik(node_stats[self.recv] + pair_stats, self.data.p)
+
+        unchanged = (M - 1) - np.bincount(self.recv, minlength=M)  # candidates that leave each node as it is
+        for k in np.flatnonzero(np.isnan(node_neg)).tolist():
+            # a node that receives rows under every other candidate cancels out of every sum
+            node_neg[k] = -self.node_fit(k)[1] if unchanged[k] else 0.0
+        for j in np.flatnonzero(np.isnan(pair_neg)).tolist():
+            pair_neg[j] = -self.pair_fit(int(self.cand[j]), int(self.recv[j]))[1]
+
+        # candidate c: every node's part less its own, each receiver's part
+        # swapped for its part on its new members
+        change = np.bincount(self.cand, pair_neg - node_neg[self.recv], M)
+        rest = _mdl(0.0, M - 1, self.data, family)
+        return node_neg.sum() - node_neg + change + (rest.complexity + rest.indexing)
+
+    def exact(self, c: int):
+        """The MDL of deleting candidate row c, bitwise as ``mdl_score``
+        gives it for the refitted map, with that map's parameters and
+        assignment."""
+        moved = self.members(c)
+        new_m = self.assignment.m.copy()
+        new_m[moved] = self.id_of[self.to[moved]]
+        receivers = set(self.to[moved].tolist())
+        cand_params = {}
+        neg = 0.0
+        for k, l in enumerate(self.ids):
+            if k == c:
+                continue
+            theta, part = self.pair_fit(c, k) if k in receivers else self.node_fit(k)
+            cand_params[l] = theta
+            neg -= part
+        return _mdl(neg, self.M - 1, self.data, self.family), cand_params, new_m
 
 
 def try_delete_node(
@@ -141,66 +278,35 @@ def try_delete_node(
     node's former neighbors are wired into a clique so no node is left
     isolated.
 
-    Only the *receivers*, the survivors that win some of the deleted node's
-    samples, change from one candidate to the next. They are refitted and
-    rescored on their new member set in ascending sample order, the order
-    ``mdl_score`` uses. Every other survivor reuses a per-call cache of its
-    batch fit and negative log-likelihood on its current members. The parts
-    are summed in ascending id order, as ``mdl_score`` sums them, so each
-    candidate's score is bitwise the one a full refit and ``mdl_score``
-    would give.
+    Scoring runs in two stages (see the module docstring). Every candidate's
+    total is first estimated from sufficient statistics. Only candidates
+    whose estimate is at most ``ref + SHORTLIST_RTOL * |ref|``, where ref is
+    the smaller of the best estimate and the current MDL, are then scored
+    exactly, in id order: the *receivers*, the survivors that win some of
+    the deleted node's samples, are refitted and rescored on their new
+    member set in ascending sample order, every other survivor reuses a
+    per-call fit on its current members, and the parts are summed in
+    ascending id order, as ``mdl_score`` sums them. An empty shortlist means
+    no candidate can beat the current map, and nothing is refitted.
     """
     current = mdl_score(data, assignment, params, family)
-    ids = sorted(params)
-    if len(ids) < 2:
+    if len(params) < 2:
         return DeletionResult(graph, params, assignment, current, current, None)
 
-    X = data.values
-    usable = family.usable_rows(X)
+    search = _DeletionSearch(data, assignment, params, family, ll)
+    est = search.estimates()
+    ref = min(float(est.min()), current.total)
+    best = None  # (score, candidate row, params, assignment ids)
+    for c in np.flatnonzero(est <= ref + SHORTLIST_RTOL * abs(ref)).tolist():
+        score, cand_params, new_m = search.exact(c)
+        if best is None or score.total < best[0].total:
+            best = (score, c, cand_params, new_m)
 
-    def fit(l, idx):
-        """Batch fit of node l on rows idx and their neg-loglik part (with
-        no rows the node keeps its parameters and adds 0.0, which leaves the
-        running total bitwise unchanged, as skipping it does). Rows a batch
-        fit cannot learn from, such as all-zero counts, also leave the
-        parameters as they are; their part is still scored under them."""
-        if not idx.size:
-            return params[l], 0.0
-        rows = X[idx]
-        theta = family.batch(rows) if usable[idx].any() else params[l]
-        return theta, float(family.loglik_rows(rows, theta).sum())
-
-    members = {l: assignment.members(l) for l in ids}
-    # survivor id -> fit on its current members; filled on first use, so a
-    # node that receives samples under every candidate is never fitted alone
-    cached = {}
-    best = None  # (total, candidate id, params, assignment ids, score)
-    for pos, m in enumerate(ids):
-        moved = members[m]
-        new_m = assignment.m.copy()
-        new_m[moved] = ml_winners(np.delete(ll[:, moved], pos, axis=0), np.delete(ids, pos))
-        receivers = set(new_m[moved].tolist())
-        cand_params = {}
-        neg = 0.0
-        for l in ids:
-            if l == m:
-                continue
-            if l in receivers:
-                theta, part = fit(l, np.flatnonzero(new_m == l))
-            else:
-                if l not in cached:
-                    cached[l] = fit(l, members[l])
-                theta, part = cached[l]
-            cand_params[l] = theta
-            neg -= part
-        score = _mdl(neg, len(cand_params), data, family)
-        if best is None or score.total < best[0]:
-            best = (score.total, m, cand_params, new_m, score)
-
-    if best[0] >= current.total:
+    if best is None or best[0].total >= current.total:
         return DeletionResult(graph, params, assignment, current, current, None)
 
-    _, m, cand_params, new_m, score = best
+    score, c, cand_params, new_m = best
+    m = search.ids[c]
     new_graph = graph.copy()
     former = new_graph.remove_node(m)
     for i, a in enumerate(former):

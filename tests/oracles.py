@@ -126,36 +126,30 @@ def random_pd_matrix(rng, p, scale=1.0) -> np.ndarray:
     return scale * (A @ A.T + p * np.eye(p) * 0.1)
 
 
-def oracle_try_delete_node(data, graph, assignment, params, family):
-    """Brute-force node deletion: for every candidate, batch-refit every
-    survivor on its new member set and score the whole map anew.
+def _oracle_score(data, assign, node_params, family):
+    """MDL of a map from the family's per-row log-likelihoods."""
+    from smlsom.structure import MdlScore
 
-    Same contract as ``smlsom.try_delete_node`` (whose scoring it must
-    reproduce bit for bit), built from the family's per-row log-likelihoods
-    and batch fits only.
-    """
+    X, n = data.values, data.n
+    neg = 0.0
+    for m in sorted(node_params):
+        idx = assign.members(m)
+        if idx.size:
+            neg -= float(family.loglik_rows(X[idx], node_params[m]).sum())
+    M = len(node_params)
+    return MdlScore(neg, 0.5 * M * family.df(data.p) * math.log(n), n * math.log(M))
+
+
+def oracle_deletion_candidates(data, assignment, params, family):
+    """Every deletion candidate by brute force, in ascending id order: for
+    each, batch-refit every survivor on its new member set and score the
+    whole map anew. Returns (id, score, params, assignment) tuples."""
     from smlsom import Assignment
-    from smlsom.structure import DeletionResult, MdlScore
 
     X = data.values
-    n = data.n
-
-    def score(assign, node_params):
-        neg = 0.0
-        for m in sorted(node_params):
-            idx = assign.members(m)
-            if idx.size:
-                neg -= float(family.loglik_rows(X[idx], node_params[m]).sum())
-        M = len(node_params)
-        return MdlScore(neg, 0.5 * M * family.df(data.p) * math.log(n), n * math.log(M))
-
-    current = score(assignment, params)
     ids = sorted(params)
-    if len(ids) < 2:
-        return DeletionResult(graph, params, assignment, current, current, None)
-
     ll = np.stack([family.loglik_rows(X, params[m]) for m in ids])
-    best = None  # (total, candidate id, params, assignment, score)
+    out = []
     for pos, m in enumerate(ids):
         moved = assignment.members(m)
         new_m = assignment.m.copy()
@@ -168,19 +162,37 @@ def oracle_try_delete_node(data, graph, assignment, params, family):
         for l in ids:
             if l == m:
                 continue
-            idx = cand_assign.members(l)
-            rows = X[idx]
+            rows = X[cand_assign.members(l)]
             # nothing to learn from: no rows, or for the multinomial only all-zero counts
             barren = not rows.size or family.name == "multinomial" and not rows.any()
             cand_params[l] = params[l] if barren else family.batch(rows)
-        cand = score(cand_assign, cand_params)
-        if best is None or cand.total < best[0]:
-            best = (cand.total, m, cand_params, cand_assign, cand)
+        out.append((m, _oracle_score(data, cand_assign, cand_params, family), cand_params, cand_assign))
+    return out
 
-    if best[0] >= current.total:
+
+def oracle_try_delete_node(data, graph, assignment, params, family):
+    """Brute-force node deletion: score every candidate by
+    ``oracle_deletion_candidates`` and adopt the first strict minimum iff it
+    beats the current map.
+
+    Same contract as ``smlsom.try_delete_node`` (whose scoring it must
+    reproduce bit for bit), built from the family's per-row log-likelihoods
+    and batch fits only.
+    """
+    from smlsom.structure import DeletionResult
+
+    current = _oracle_score(data, assignment, params, family)
+    if len(params) < 2:
         return DeletionResult(graph, params, assignment, current, current, None)
 
-    _, m, cand_params, cand_assign, cand = best
+    best = None
+    for cand in oracle_deletion_candidates(data, assignment, params, family):
+        if best is None or cand[1].total < best[1].total:
+            best = cand
+    m, cand, cand_params, cand_assign = best
+    if cand.total >= current.total:
+        return DeletionResult(graph, params, assignment, current, current, None)
+
     new_graph = graph.copy()
     former = new_graph.remove_node(m)
     for i, a in enumerate(former):

@@ -313,7 +313,7 @@ def test_criterion_9_linear_scaling():
             best = min(best, time.perf_counter() - start)
         return best
 
-    small, large = make(3000), make(6000)
+    small, large = make(20000), make(40000)
     fit_time(small)  # warm-up so jit-free numpy caches settle
     t_small, t_large = fit_time(small), fit_time(large)
     ratio = t_large / t_small
@@ -321,5 +321,5 @@ def test_criterion_9_linear_scaling():
         9,
         "fit time scales linearly in n",
         ratio <= 2.5,
-        f"n=3000: {t_small:.2f}s, n=6000: {t_large:.2f}s, ratio {ratio:.2f}",
+        f"n=20000: {t_small:.2f}s, n=40000: {t_large:.2f}s, ratio {ratio:.2f}",
     )

@@ -37,7 +37,8 @@ class TestLattice:
 
     def test_interior_hex_degree_is_six(self):
         g = lattice_graph(5, 5, "hexagonal")
-        assert len(g.neighbors(12)) == 6  # center of a 5x5 grid
+        hops = g.hops_from(12)  # center of a 5x5 grid
+        assert sum(d == 1 for d in hops.values()) == 6
 
     @pytest.mark.parametrize("rows,cols", [(1, 2), (2, 1), (4, 3), (5, 5), (1, 7)])
     @pytest.mark.parametrize("kind", ["rectangular", "hexagonal"])

@@ -1,4 +1,4 @@
-"""Golden models: three seeded fits pinned across commits.
+"""Golden models: four seeded fits pinned across commits.
 
 The acceptance gate's determinism criterion compares two runs of the same
 code. This test compares a fresh fit against fixtures stored under
@@ -45,6 +45,9 @@ def _multinom_mixture() -> Dataset:
 
 CASES = {
     "faithful-3x3": lambda: (load_faithful(), FitConfig(rows=3, cols=3, seed=0)),
+    # 25 nodes on 272 rows: many nodes hold at most p + 1 = 3 members, so
+    # deletion scoring takes its exact fallback
+    "faithful-5x5": lambda: (load_faithful(), FitConfig(rows=5, cols=5, seed=1)),
     "gauss-p2-5x5": lambda: (_gauss_mixture(), FitConfig(rows=5, cols=5, seed=3)),
     "multinom-3x3": lambda: (_multinom_mixture(), FitConfig(family="multinomial", rows=3, cols=3, seed=4)),
 }

@@ -18,7 +18,16 @@ from smlsom import (
     mdl_score,
     try_delete_node,
 )
-from oracles import dense_gauss_loglik, oracle_gauss_kl, oracle_mdl, oracle_try_delete_node, random_pd_matrix
+from smlsom.structure import SHORTLIST_RTOL, _DeletionSearch, _destinations
+
+from oracles import (
+    dense_gauss_loglik,
+    oracle_deletion_candidates,
+    oracle_gauss_kl,
+    oracle_mdl,
+    oracle_try_delete_node,
+    random_pd_matrix,
+)
 
 GAUSS = GaussianFamily()
 MULTINOM = MultinomialFamily()
@@ -446,3 +455,170 @@ class TestTryDeleteNodeMatchesOracle:
             g = MapGraph(nodes=range(k), edges=[(a, a + 1) for a in range(k - 1)])
             assignment = Assignment(rng.integers(k, size=n))  # zero rows land anywhere
             _assert_matches_oracle(data, g, assignment, params, MULTINOM)
+
+
+def _awkward_gauss_case(rng, p, kind):
+    """Three blobs of 30 rows, then one small group of s rows for every s in
+    1..p+1, each with its own node, and one node with no members: node ids
+    0-2 are the blobs, 3..p+3 the small groups, p+4 the empty node.
+
+    ``kind`` adds one awkward feature: ``duplicates`` (blob 0 is ten rows
+    three times over, and the largest small group one row repeated),
+    ``constant`` (the last column is one value throughout) or ``thin`` (blob
+    1 has variance ratio 1e-8 between its first column and the rest).
+    """
+    centers = 8.0 * rng.normal(size=(3 + p + 1, p))
+    centers[3:] += 40.0  # the small groups sit away from the blobs
+    groups = [centers[b] + rng.normal(size=(30, p)) for b in range(3)]
+    groups += [centers[3 + s] + 0.5 * rng.normal(size=(s + 1, p)) for s in range(p + 1)]
+    if kind == "duplicates":
+        groups[0] = np.repeat(groups[0][:10], 3, axis=0)
+        groups[-1][:] = groups[-1][0]
+    if kind == "thin":
+        groups[1][:, 0] = centers[1, 0] + 1e-4 * rng.normal(size=30)
+    X = np.vstack(groups)
+    if kind == "constant":
+        X[:, -1] = 2.5
+    labels = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    params = {m: GaussParams(X[labels == m].mean(axis=0), random_pd_matrix(rng, p, 0.5)) for m in range(len(groups))}
+    params[len(groups)] = GaussParams(np.full(p, -90.0), np.eye(p))
+    g = MapGraph(nodes=sorted(params), edges=[(a, a + 1) for a in range(len(params) - 1)])
+    return Dataset(X), g, Assignment(labels), params
+
+
+def _tie_case(rng, p):
+    """Nodes 0 and 1 split one blob between them, far from the other blobs:
+    deleting 0 hands all its rows to 1 and deleting 1 hands all its rows to
+    0, the same partition with the same batch fit."""
+    centers = np.zeros((3, p))
+    centers[1, 0], centers[2, -1] = 30.0, -30.0
+    X = np.vstack([c + rng.normal(size=(40, p)) for c in centers])
+    params = {
+        0: GaussParams(centers[0] - 0.1, np.eye(p)),
+        1: GaussParams(centers[0] + 0.1, np.eye(p)),
+        2: GaussParams(centers[1], np.eye(p)),
+        3: GaussParams(centers[2], np.eye(p)),
+    }
+    labels = np.repeat([0, 2, 3], 40)
+    labels[1:40:2] = 1
+    g = MapGraph(nodes=range(4), edges=[(0, 1), (1, 2), (2, 3)])
+    return Dataset(X), g, Assignment(labels), params
+
+
+def _multinom_zero_case(rng, cats):
+    """Three count profiles, a fifth of the rows all zero; nodes 3 and 4 own
+    one and two rows, node 5 only zero rows and node 6 nothing."""
+    profiles = rng.dirichlet(np.ones(cats), size=3)
+    labels = np.repeat([0, 1, 2, 3, 4, 4], [40, 40, 40, 1, 1, 1])
+    X = rng.multinomial(15, profiles[np.minimum(labels, 2)]).astype(float)
+    X[rng.random(len(X)) < 0.2] = 0.0
+    X = np.vstack([X, np.zeros((3, cats))])
+    labels = np.concatenate([labels, [5, 5, 5]])
+    params = {m: MultinomParams(rng.dirichlet(np.ones(cats))) for m in range(7)}
+    g = MapGraph(nodes=range(7), edges=[(a, a + 1) for a in range(6)])
+    return Dataset(X), g, Assignment(labels), params
+
+
+AWKWARD = ["plain", "duplicates", "constant", "thin"]
+
+
+class TestTwoStageScoringMatchesOracle:
+    """The estimate-then-shortlist search gives exactly the brute-force
+    result on inputs that send parts to the exact fallback."""
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    @pytest.mark.parametrize("kind", AWKWARD)
+    def test_gaussian_awkward_nodes(self, p, kind):
+        rng = np.random.default_rng(100 + 10 * p + AWKWARD.index(kind))
+        data, g, assignment, params = _awkward_gauss_case(rng, p, kind)
+        assert sorted(np.bincount(assignment.m, minlength=len(params))[3:]) == list(range(p + 2))
+        _assert_matches_oracle(data, g, assignment, params, GAUSS)
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    def test_gaussian_exact_tie(self, p):
+        rng = np.random.default_rng(120 + p)
+        data, g, assignment, params = _tie_case(rng, p)
+        candidates = oracle_deletion_candidates(data, assignment, params, GAUSS)
+        assert candidates[0][1].total == candidates[1][1].total  # bitwise tie
+        result = _assert_matches_oracle(data, g, assignment, params, GAUSS)
+        assert result.deleted == 0
+
+    @pytest.mark.parametrize("cats", [2, 4, 9])
+    def test_multinomial_zero_rows_and_small_nodes(self, cats):
+        rng = np.random.default_rng(130 + cats)
+        data, g, assignment, params = _multinom_zero_case(rng, cats)
+        _assert_matches_oracle(data, g, assignment, params, MULTINOM)
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    def test_ml_assignment_of_awkward_data(self, p):
+        # the fit's own situation: members by maximum likelihood
+        rng = np.random.default_rng(140 + p)
+        for kind in AWKWARD:
+            data, g, _, params = _awkward_gauss_case(rng, p, kind)
+            _assert_matches_oracle(data, g, classify(data, params, GAUSS), params, GAUSS)
+
+
+def _search_cases():
+    rng = np.random.default_rng(150)
+    for p in (1, 2, 5, 10):
+        for kind in AWKWARD:
+            yield f"gauss-p{p}-{kind}", GAUSS, _awkward_gauss_case(rng, p, kind)
+        yield f"gauss-p{p}-tie", GAUSS, _tie_case(rng, p)
+    for cats in (2, 4, 9):
+        yield f"multinom-{cats}-zero-rows", MULTINOM, _multinom_zero_case(rng, cats)
+    for trial in range(6):
+        p = int(rng.integers(1, 6))
+        data = Dataset(rng.normal(size=(200, p)) * rng.uniform(0.1, 5.0) + rng.uniform(-1e3, 1e3, size=p))
+        params = {m: GaussParams(data.values[rng.integers(200)], random_pd_matrix(rng, p)) for m in range(6)}
+        yield f"gauss-offset-{trial}", GAUSS, (data, None, classify(data, params, GAUSS), params)
+
+
+class TestEstimates:
+    def test_every_estimate_is_within_the_shortlist_tolerance(self):
+        """Wherever an estimate decides whether a candidate is rescored, it
+        lies within ``SHORTLIST_RTOL`` of the candidate's exact total, and
+        the exact stage's totals are bitwise the brute-force ones."""
+        fallback = 0
+        for name, family, (data, _, assignment, params) in _search_cases():
+            search = _DeletionSearch(data, assignment, params, family, loglik_matrix(data, params, family))
+            est = search.estimates()
+            fallback += bool(search.node_fits or search.pair_fits)
+            exact = np.array([search.exact(c)[0].total for c in range(len(params))])
+            want = [cand[1].total for cand in oracle_deletion_candidates(data, assignment, params, family)]
+            assert exact.tolist() == want, name
+            ref = min(float(est.min()), mdl_score(data, assignment, params, family).total)
+            worst = float(np.abs(est - exact).max())
+            assert worst <= SHORTLIST_RTOL * abs(ref), (name, worst / abs(ref))
+        assert fallback >= 10  # the small-node cases reach the exact fallback
+
+    def test_shortlist_prunes_well_conditioned_candidates(self):
+        rng = np.random.default_rng(160)
+        data, g, params, assignment = two_blob_fixture(rng)
+        search = _DeletionSearch(data, assignment, params, GAUSS, loglik_matrix(data, params, GAUSS))
+        est = search.estimates()
+        assert not search.node_fits and not search.pair_fits  # no part needed an exact fit
+        ref = min(float(est.min()), mdl_score(data, assignment, params, GAUSS).total)
+        shortlist = np.flatnonzero(est <= ref + SHORTLIST_RTOL * abs(ref))
+        assert 1 <= len(shortlist) < len(params)
+
+
+class TestDestinations:
+    def test_matches_argmax_with_the_row_removed(self):
+        rng = np.random.default_rng(170)
+        for trial in range(50):
+            M, n = int(rng.integers(2, 6)), 40
+            ll = rng.normal(size=(M, n)).round(1)  # rounding makes ties
+            ll[rng.random((M, n)) < 0.3] = -np.inf
+            ll[rng.random((M, n)) < 0.05] = np.nan
+            own = rng.integers(M, size=n)
+            want = [
+                np.delete(np.arange(M), own[i])[np.argmax(np.delete(ll[:, i], own[i]))] for i in range(n)
+            ]
+            before = ll.tobytes()
+            assert _destinations(ll, own).tolist() == want
+            assert ll.tobytes() == before  # the masked entries are restored
+
+    def test_every_other_row_minus_inf(self):
+        ll = np.array([[0.0, -np.inf, 1.0], [-np.inf, -np.inf, -np.inf], [-np.inf, 2.0, -np.inf]])
+        assert _destinations(ll, np.array([0, 1, 2])).tolist() == [1, 2, 0]
+        assert _destinations(ll, np.array([0, 0, 0])).tolist() == [1, 2, 1]
