@@ -1,10 +1,11 @@
-"""Build, load and call the compiled training kernel (``_kernel.c``).
+"""Build, load and call the compiled kernel (``_kernel.c``).
 
-One shared library holds both families' training cycles. It is compiled on
-first use with the system C compiler ``cc`` into ``__pycache__`` next to
-this file, under a name that hashes the source and the compile command, so
-later processes load the cached library. Without a working compiler,
-training raises ``SmlsomError``; there is no numpy fallback.
+One shared library holds both families' training cycles and the Gaussian
+log-likelihood matrix. It is compiled on first use with the system C
+compiler ``cc`` into ``__pycache__`` next to this file, under a name that
+hashes the source and the compile command, so later processes load the
+cached library. Without a working compiler, training and Gaussian scoring
+raise ``SmlsomError``; there is no numpy or scipy fallback.
 
 The kernel reads and writes numpy buffers through bare pointers, so every
 array handed to it goes through ``buffer``, and a cycle's draws and
@@ -36,10 +37,11 @@ _MULTINOM_STATE = [_F64, _PTR, _PTR]  # floor, thetas, logthetas
 _ENTRY_POINTS = {
     "gauss_update_node": [_I64, _I64, _PTR, _F64, *_GAUSS_STATE],
     "gauss_train_cycle": [*_CYCLE_ARGTYPES, _F64, *_GAUSS_STATE, _PTR],
+    "gauss_loglik_matrix": [_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR],
     "multinom_update_node": [_I64, _I64, _PTR, _F64, *_MULTINOM_STATE],
     "multinom_train_cycle": [*_CYCLE_ARGTYPES, _PTR, *_MULTINOM_STATE, _PTR],
 }
-_lib = None  # the kernel, loaded by the first training state
+_lib = None  # the kernel, loaded by its first use
 
 
 def kernel_path(source: bytes, cc: str, cache_dir: Path) -> Path:
@@ -51,7 +53,7 @@ def kernel_path(source: bytes, cc: str, cache_dir: Path) -> Path:
 
 
 def load_kernel(cc: str = "cc", cache_dir: Path | None = None) -> ctypes.CDLL:
-    """Load the training kernel, compiling it first when ``cache_dir``
+    """Load the kernel, compiling it first when ``cache_dir``
     (default: ``__pycache__`` next to this module) holds no build of the
     current source by ``cc``.
 
@@ -73,7 +75,7 @@ def load_kernel(cc: str = "cc", cache_dir: Path | None = None) -> ctypes.CDLL:
                 proc = subprocess.CompletedProcess(cmd, None, "", str(exc))
             if proc.returncode != 0:
                 raise SmlsomError(
-                    "cannot build the training kernel; it needs a C compiler. "
+                    "cannot build the compiled kernel; it needs a C compiler. "
                     f"`{' '.join(cmd)}` failed:\n{proc.stderr.strip()}"
                 )
             os.replace(tmp, path)
@@ -141,6 +143,6 @@ def cycle_args(X, draws, alphas, radii, neighbors, M: int, p: int) -> tuple[np.n
 def check_status(status: int):
     """Raise for a kernel status other than OK."""
     if status == _KERNEL_NOMEM:
-        raise MemoryError("training kernel could not allocate its buffers")
+        raise MemoryError("compiled kernel could not allocate its buffers")
     if status != _KERNEL_OK:
         raise SingularModelError("covariance not positive definite after maximal jitter")

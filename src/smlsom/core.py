@@ -219,6 +219,14 @@ class Assignment:
     def __post_init__(self):
         object.__setattr__(self, "m", np.asarray(self.m, dtype=int))
 
-    def members(self, node: int) -> np.ndarray:
-        """Sample indices currently assigned to a node."""
-        return np.flatnonzero(self.m == node)
+    def groups(self, ids) -> list[np.ndarray]:
+        """For each node id in ``ids``, the ascending indices of the samples
+        assigned to it, from one stable sort of the assignment."""
+        m = self.m
+        # numpy radix-sorts 8- and 16-bit keys, several times faster here
+        keys = m.astype(np.min_scalar_type(m.max())) if m.size and m.min() >= 0 else m
+        order = np.argsort(keys, kind="stable")
+        ranked = m[order]
+        lo = np.searchsorted(ranked, ids, side="left")
+        hi = np.searchsorted(ranked, ids, side="right")
+        return [order[a:b] for a, b in zip(lo.tolist(), hi.tolist())]

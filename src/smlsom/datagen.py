@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CalibrationError
-from .gaussian import GaussParams, gauss_loglik_rows
+from .gaussian import GaussParams, gauss_loglik_matrix
 
 STRUCTURES = (
     "spherical-homogeneous",
@@ -101,7 +101,7 @@ def overlap_mc(
     omega_cond = np.zeros((M, M))
     for m in range(M):
         X = rng.multivariate_normal(spec.mus[m], spec.sigmas[m], size=n_mc)
-        scores = np.stack([log_pi[l] + gauss_loglik_rows(X, comps[l]) for l in range(M)])
+        scores = log_pi[:, None] + gauss_loglik_matrix(X, comps)
         for l in range(M):
             if l != m:
                 omega_cond[l, m] = np.mean(scores[l] > scores[m])

@@ -192,7 +192,8 @@ def smlsom_fit_restarts(
     if jobs > 1 and restarts > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the fork start method launches every worker up front
+        with ProcessPoolExecutor(max_workers=min(jobs, restarts)) as pool:
             results = list(pool.map(smlsom_fit, [data] * restarts, configs))
     else:
         results = [smlsom_fit(data, c) for c in configs]

@@ -1,13 +1,25 @@
 """Full-covariance multivariate Gaussian node model.
 
-Log-likelihoods go through a Cholesky factorization; covariances that fail
-to factorize get an escalating diagonal jitter before a singular-model
-error is raised.
+Each node keeps the Cholesky factor L of its covariance and its
+log-determinant from construction; covariances that fail to factorize get
+an escalating diagonal jitter before a singular-model error is raised.
 
-Training runs in the compiled kernel (``_kernel.c``, built and loaded by
-``_kernel``): one call trains a whole cycle, winner search and neighbor
-updates included. The kernel does not factorize on every step. A moment
-step moves a covariance by a scaled rank-one term,
+Scoring runs in the compiled kernel (``_kernel.c``, built and loaded by
+``_kernel``): one call writes the log density of every row of X under
+every node, -0.5 (p log 2pi + log|Sigma| + |L^-1 (x - mu)|^2), and one
+node's rows are the one-node case of the same call. The kernel copies the
+rounding of the scipy path it replaced, kept in ``tests/oracles.py``: the
+triangular solve goes in OpenBLAS dtrsm's order (blocks of 16 rows, then
+of 8, 4, 2 and 1 for the bits of p % 16; a fused dot product with the rows
+already solved, then a right-looking solve inside the block), a lone row
+in dtrsv's order (a fused dot product per row, then a division), and the
+squares are summed in two lanes, even and odd entries, as numpy's einsum
+sums them. With two or more rows an entry depends on its row and node
+alone, so a slice of the cycle's matrix is bitwise the rows of the slice.
+
+Training runs in the same kernel: one call trains a whole cycle, winner
+search and neighbor updates included. The kernel does not factorize on
+every step. A moment step moves a covariance by a scaled rank-one term,
 Sigma' = (1-a)Sigma + a(1-a)dd^T, so the precision follows by
 Sherman-Morrison and the log-determinant by the matrix determinant lemma,
 both from the quadratic form d^T P d that the winner search has already
@@ -15,8 +27,8 @@ computed. To bound round-off drift a node is re-factorized after every
 ``_REFRESH_EVERY`` rank-one updates, and at once when the lemma's factor
 1 + a d^T P d is not finite and positive. Means and covariances move
 element-wise as mu + a d and Sigma + a((1-a) d d^T - Sigma), for d = x - mu,
-which keeps a covariance bitwise symmetric. Without a C compiler,
-training raises ``SmlsomError``.
+which keeps a covariance bitwise symmetric. Without a C compiler, scoring
+and training raise ``SmlsomError``.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from ._kernel import buffer, check_status, cycle_args, kernel
 from .errors import SingularModelError
@@ -65,6 +77,7 @@ class GaussParams:
     mu: np.ndarray
     sigma: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False, compare=False)
+    log_det: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).reshape(-1)
@@ -79,26 +92,45 @@ class GaussParams:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_chol", L)
+        object.__setattr__(self, "log_det", 2.0 * float(np.sum(np.log(np.diag(L)))))
 
     @property
     def p(self) -> int:
         return self.mu.size
 
     @property
-    def log_det(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
-
-    @property
     def precision(self) -> np.ndarray:
         return cho_solve((self._chol, True), np.eye(self.p), check_finite=False)
 
 
+def gauss_loglik_matrix(X: np.ndarray, thetas: list[GaussParams]) -> np.ndarray:
+    """M x n matrix of the log density of every row of X (n x p) under each
+    of the M nodes, from one kernel call (see the module docstring)."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    M, p = len(thetas), thetas[0].p
+    n = X.shape[0]
+    mus = np.stack([t.mu for t in thetas])
+    chols = np.stack([t._chol for t in thetas])
+    consts = np.array([p * _LOG_2PI + t.log_det for t in thetas])
+    out = np.empty((M, n))
+    check_status(
+        kernel().gauss_loglik_matrix(
+            p,
+            M,
+            n,
+            buffer(X, np.float64, (n, p)),
+            buffer(mus, np.float64, (M, p)),
+            buffer(chols, np.float64, (M, p, p)),
+            buffer(consts, np.float64, (M,)),
+            buffer(out, np.float64, (M, n), out=True),
+        )
+    )
+    return out
+
+
 def gauss_loglik_rows(X: np.ndarray, theta: GaussParams) -> np.ndarray:
-    """Vectorized log density for every row of X."""
-    D = np.asarray(X, dtype=float) - theta.mu
-    W = solve_triangular(theta._chol, D.T, lower=True, check_finite=False)
-    quad = np.einsum("ij,ij->j", W, W)
-    return -0.5 * (theta.p * _LOG_2PI + theta.log_det + quad)
+    """Log density of every row of X under one node."""
+    return gauss_loglik_matrix(X, [theta])[0]
 
 
 def gauss_batch(samples: np.ndarray) -> GaussParams:
@@ -247,12 +279,16 @@ class GaussianFamily:
     def loglik_rows(self, X, theta: GaussParams) -> np.ndarray:
         return gauss_loglik_rows(X, theta)
 
-    def loglik_members(self, X, idx, theta: GaussParams) -> np.ndarray:
-        """``loglik_rows(X[idx], theta)``."""
+    def loglik_members(self, X, idx, theta: GaussParams, ll_row=None) -> np.ndarray:
+        """``loglik_rows(X[idx], theta)``, bitwise. With ``ll_row``, theta's
+        row of the cycle's matrix, two or more members are read from it; a
+        lone member is scored again, in the kernel's order for a lone row."""
+        if ll_row is not None and idx.size > 1:
+            return ll_row[idx]
         return gauss_loglik_rows(X[idx], theta)
 
     def loglik_matrix(self, X, thetas: list[GaussParams]) -> np.ndarray:
-        return np.stack([gauss_loglik_rows(X, t) for t in thetas])
+        return gauss_loglik_matrix(X, thetas)
 
     def batch(self, samples) -> GaussParams:
         return gauss_batch(samples)

@@ -205,9 +205,11 @@ class MultinomialFamily:
     def loglik_rows(self, X, theta: MultinomParams) -> np.ndarray:
         return multinom_loglik_rows(X, theta)
 
-    def loglik_members(self, X, idx, theta: MultinomParams) -> np.ndarray:
+    def loglik_members(self, X, idx, theta: MultinomParams, ll_row=None) -> np.ndarray:
         """``loglik_rows(X[idx], theta)``, bitwise, with the coefficients
-        sliced from ``log_coef(X)``."""
+        sliced from ``log_coef(X)``. ``ll_row`` (theta's row of the cycle's
+        matrix) is not read: the matrix product over all of X can round a row
+        differently from one over the members alone."""
         return multinom_loglik_rows(X[idx], theta, self.log_coef(X)[idx])
 
     def loglik_matrix(self, X, thetas: list[MultinomParams]) -> np.ndarray:

@@ -76,7 +76,7 @@ def cut_weak_links(
         raise ValueError("beta must be >= 0")
 
     ids = sorted(params)
-    members = {m: assignment.members(m) for m in ids}
+    members = dict(zip(ids, assignment.groups(ids)))
 
     removed = set()
     for m, l in sorted(graph.edges):
@@ -110,15 +110,18 @@ def _mdl(neg_loglik: float, M: int, data: Dataset, family) -> MdlScore:
     return MdlScore(neg_loglik, complexity, indexing)
 
 
-def mdl_score(data: Dataset, assignment: Assignment, params: dict, family) -> MdlScore:
+def mdl_score(data: Dataset, assignment: Assignment, params: dict, family, ll: np.ndarray | None = None) -> MdlScore:
     """Classification MDL: data code length + parameter code length +
-    assignment index code length, natural log throughout."""
+    assignment index code length, natural log throughout.
+
+    ``ll``, when given, is ``loglik_matrix(data, params, family)``; a family
+    whose matrix slices are bitwise its members' rows reads them from it."""
     ids = sorted(params)
     neg = 0.0
-    for m in ids:
-        idx = assignment.members(m)
+    for k, (m, idx) in enumerate(zip(ids, assignment.groups(ids))):
         if idx.size:
-            neg -= float(family.loglik_members(data.values, idx, params[m]).sum())
+            row = None if ll is None else ll[k]
+            neg -= float(family.loglik_members(data.values, idx, params[m], row).sum())
     return _mdl(neg, len(ids), data, family)
 
 
@@ -170,6 +173,7 @@ class _DeletionSearch:
         if not np.array_equal(self.id_of[own], assignment.m):
             raise ValueError("assignment names a node that has no parameters")
         self.own, self.to = own, _destinations(ll, own)
+        self.groups = assignment.groups(self.ids)  # row -> its ascending sample rows
         key = own * M + self.to
         pair_keys = np.flatnonzero(np.bincount(key, minlength=M * M))
         self.cand, self.recv = np.divmod(pair_keys, M)  # pair j moves rows of cand[j] to recv[j]
@@ -178,9 +182,6 @@ class _DeletionSearch:
         self.pair_of = lookup[key]
         self.node_fits = {}  # row -> fit on its current members
         self.pair_fits = {}  # (candidate, receiver) -> receiver's fit on its new members
-
-    def members(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.own == k)
 
     def receiver_rows(self, c: int, r: int) -> np.ndarray:
         """Ascending sample rows of survivor r once candidate c is deleted."""
@@ -202,7 +203,7 @@ class _DeletionSearch:
 
     def node_fit(self, k: int):
         if k not in self.node_fits:
-            self.node_fits[k] = self.fit(k, self.members(k))
+            self.node_fits[k] = self.fit(k, self.groups[k])
         return self.node_fits[k]
 
     def pair_fit(self, c: int, r: int):
@@ -243,7 +244,7 @@ class _DeletionSearch:
         """The MDL of deleting candidate row c, bitwise as ``mdl_score``
         gives it for the refitted map, with that map's parameters and
         assignment."""
-        moved = self.members(c)
+        moved = self.groups[c]
         new_m = self.assignment.m.copy()
         new_m[moved] = self.id_of[self.to[moved]]
         receivers = set(self.to[moved].tolist())
@@ -289,7 +290,7 @@ def try_delete_node(
     ascending id order, as ``mdl_score`` sums them. An empty shortlist means
     no candidate can beat the current map, and nothing is refitted.
     """
-    current = mdl_score(data, assignment, params, family)
+    current = mdl_score(data, assignment, params, family, ll)
     if len(params) < 2:
         return DeletionResult(graph, params, assignment, current, current, None)
 

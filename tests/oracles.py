@@ -4,8 +4,8 @@ Everything here deliberately avoids the production code paths: dense
 inverses instead of Cholesky factors, exact integer factorials, explicit
 pair enumeration, naive per-sample summation. The exceptions are
 references that a production path must match bit for bit, such as the
-numpy Gaussian and multinomial training states that the compiled kernel
-replaced.
+numpy Gaussian and multinomial training states and the scipy Gaussian
+scoring that the compiled kernel replaced.
 """
 
 import math
@@ -13,7 +13,41 @@ from functools import partial
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
+
+
+def members(assignment, node) -> np.ndarray:
+    """Ascending indices of the samples assigned to one node."""
+    return np.flatnonzero(assignment.m == node)
+
+
+def oracle_gauss_loglik_rows(X, theta) -> np.ndarray:
+    """The scipy path the compiled Gaussian scoring replaced, which it must
+    match bit for bit: a triangular solve against the node's Cholesky
+    factor, then an einsum of the squares."""
+    D = np.asarray(X, dtype=float) - theta.mu
+    W = solve_triangular(theta._chol, D.T, lower=True, check_finite=False)
+    quad = np.einsum("ij,ij->j", W, W)
+    return -0.5 * (theta.p * np.log(2.0 * np.pi) + theta.log_det + quad)
+
+
+def oracle_overlap_mc(spec, n_mc, rng):
+    """``overlap_mc`` scored one component at a time through
+    ``oracle_gauss_loglik_rows``; the same draws give the same pairs."""
+    from smlsom import GaussParams
+
+    M = spec.n_components
+    comps = [GaussParams(spec.mus[m], spec.sigmas[m]) for m in range(M)]
+    log_pi = np.log(spec.pi)
+    omega_cond = np.zeros((M, M))
+    for m in range(M):
+        X = rng.multivariate_normal(spec.mus[m], spec.sigmas[m], size=n_mc)
+        scores = np.stack([log_pi[l] + oracle_gauss_loglik_rows(X, comps[l]) for l in range(M)])
+        for l in range(M):
+            if l != m:
+                omega_cond[l, m] = np.mean(scores[l] > scores[m])
+    pair = omega_cond + omega_cond.T
+    return pair, float(pair[np.triu_indices(M, k=1)].mean())
 
 
 def dense_gauss_loglik(x, mu, sigma) -> float:
@@ -133,7 +167,7 @@ def _oracle_score(data, assign, node_params, family):
     X, n = data.values, data.n
     neg = 0.0
     for m in sorted(node_params):
-        idx = assign.members(m)
+        idx = members(assign, m)
         if idx.size:
             neg -= float(family.loglik_rows(X[idx], node_params[m]).sum())
     M = len(node_params)
@@ -151,7 +185,7 @@ def oracle_deletion_candidates(data, assignment, params, family):
     ll = np.stack([family.loglik_rows(X, params[m]) for m in ids])
     out = []
     for pos, m in enumerate(ids):
-        moved = assignment.members(m)
+        moved = members(assignment, m)
         new_m = assignment.m.copy()
         if moved.size:
             sub = np.delete(ll[:, moved], pos, axis=0)
@@ -162,7 +196,7 @@ def oracle_deletion_candidates(data, assignment, params, family):
         for l in ids:
             if l == m:
                 continue
-            rows = X[cand_assign.members(l)]
+            rows = X[members(cand_assign, l)]
             # nothing to learn from: no rows, or for the multinomial only all-zero counts
             barren = not rows.size or family.name == "multinomial" and not rows.any()
             cand_params[l] = params[l] if barren else family.batch(rows)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smlsom import (
+    Assignment,
     Dataset,
     GaussianFamily,
     GaussParams,
@@ -16,7 +17,7 @@ from smlsom import (
 )
 from smlsom.errors import DataError
 
-from oracles import oracle_alpha, oracle_radius
+from oracles import members, oracle_alpha, oracle_radius
 
 
 class TestLattice:
@@ -204,6 +205,23 @@ class TestMapGraph:
         h = g.copy()
         h.remove_node(0)
         assert 0 in g.nodes and 0 not in h.nodes
+
+
+class TestAssignmentGroups:
+    @pytest.mark.parametrize(
+        "m, ids",
+        [
+            (np.random.default_rng(0).integers(0, 64, size=3000), list(range(64))),
+            (np.array([-3, 5, -3, 2, 70000, 5, 2]), [-3, 2, 5, 9, 70000]),  # wide and negative ids
+            (np.array([4, 4, 1, 7]), [1, 4]),  # a sample whose node is not listed
+            (np.array([], dtype=int), [0, 1]),
+        ],
+    )
+    def test_groups_are_each_nodes_ascending_members(self, m, ids):
+        groups = Assignment(m).groups(ids)
+        assert len(groups) == len(ids)
+        for node, idx in zip(ids, groups):
+            assert idx.tolist() == members(Assignment(m), node).tolist()
 
 
 class TestDataset:

@@ -17,6 +17,8 @@ from smlsom import (
 )
 from smlsom.errors import CalibrationError
 
+from oracles import oracle_overlap_mc
+
 
 def simple_spec(d=2.0, s=1.0):
     """Two unit-weight-split spherical components separated by d along x."""
@@ -86,6 +88,13 @@ class TestOverlapMc:
             want = 2 * norm.cdf(-d / (2 * np.sqrt(s)))
             assert mean == pytest.approx(want, abs=0.004)
             assert pair[0, 1] == pair[1, 0] == pytest.approx(mean)
+
+    @pytest.mark.parametrize("p, k, structure", [(2, 6, "spherical-heterogeneous"), (5, 6, "nonspherical-heterogeneous"), (7, 3, "nonspherical-homogeneous")])
+    def test_matches_one_component_at_a_time_scipy_scoring(self, p, k, structure):
+        spec = random_mixture(p, k, structure, np.random.default_rng(40 + p))
+        pair, mean = overlap_mc(spec, 5_000, np.random.default_rng(41))
+        want_pair, want_mean = oracle_overlap_mc(spec, 5_000, np.random.default_rng(41))
+        assert pair.tobytes() == want_pair.tobytes() and mean == want_mean
 
     def test_identical_components_tie_never_strictly_wins(self):
         # strict comparison means exactly tied densities never misclassify

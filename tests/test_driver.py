@@ -257,6 +257,25 @@ class TestFit:
             smlsom_fit(data, FitConfig(init="random"))
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the worker count it was
+    asked for and runs the fits in this process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        self.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 class TestRestarts:
     @pytest.mark.parametrize("restarts", [0, -2])
     def test_rejects_fewer_than_one_restart(self, restarts):
@@ -283,3 +302,16 @@ class TestRestarts:
         parallel = smlsom_fit_restarts(data, cfg, restarts=2, jobs=2)
         assert serial.mdl.total == parallel.mdl.total
         np.testing.assert_array_equal(serial.assignment.m, parallel.assignment.m)
+
+    @pytest.mark.parametrize("jobs, workers", [(500, 2), (2, 2), (1, None)])
+    def test_pool_never_outnumbers_the_restarts(self, monkeypatch, jobs, workers):
+        import concurrent.futures
+
+        monkeypatch.setattr(_SerialPool, "max_workers", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+        rng = np.random.default_rng(16)
+        data, _ = blobs(rng, [(-5.0, 0.0), (5.0, 0.0)], 60)
+        cfg = FitConfig(seed=0)
+        best = smlsom_fit_restarts(data, cfg, restarts=2, jobs=jobs)
+        assert _SerialPool.max_workers == ([] if workers is None else [workers])
+        assert best.mdl.total == min(smlsom_fit(data, FitConfig(seed=k)).mdl.total for k in range(2))

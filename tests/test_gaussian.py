@@ -21,14 +21,16 @@ from smlsom import (
     gauss_df,
     gauss_loglik_rows,
     lattice_graph,
+    mdl_score,
     schedule_alphas,
     schedule_radii,
 )
 from smlsom._kernel import kernel_path, load_kernel
-from smlsom.gaussian import _REFRESH_EVERY
+from smlsom.core import Assignment, Dataset
+from smlsom.gaussian import _REFRESH_EVERY, gauss_loglik_matrix
 from smlsom.mlsom import neighbor_table
 
-from oracles import OracleGaussTrainState, dense_gauss_loglik, random_pd_matrix
+from oracles import OracleGaussTrainState, dense_gauss_loglik, oracle_gauss_loglik_rows, random_pd_matrix
 
 # a covariance captured from a collapsing node: Cholesky accepts it, while an
 # LU inverse reports it singular
@@ -397,3 +399,105 @@ class TestParamsValidation:
             by_ll = int(np.argmax([loglik_at(x, t) for t in thetas]))
             by_dist = int(np.argmin([np.sum((x - m) ** 2) for m in mus]))
             assert by_ll == by_dist
+
+
+def _same_bits(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestScoringMatchesScipy:
+    """The kernel's log-likelihoods are bitwise those of the scipy
+    triangular solve and einsum it replaced (``oracle_gauss_loglik_rows``),
+    for every p whose summation order is known: two or more rows up to
+    p = 80 (spot-checked past 40), a lone row up to p = 16."""
+
+    @pytest.mark.parametrize("p", [*range(1, 21), 33, 48, 65])
+    def test_rows(self, p):
+        rng = np.random.default_rng(700 + p)
+        for n in (2, 3, 63, 64, 65, 300):
+            theta = GaussParams(rng.normal(size=p), random_pd_matrix(rng, p))
+            X = theta.mu + 3.0 * rng.normal(size=(n, p))
+            assert _same_bits(gauss_loglik_rows(X, theta), oracle_gauss_loglik_rows(X, theta)), n
+
+    @pytest.mark.parametrize("p", range(1, 17))
+    def test_lone_row(self, p):
+        rng = np.random.default_rng(800 + p)
+        for _ in range(20):
+            theta = GaussParams(rng.normal(size=p), random_pd_matrix(rng, p))
+            x = theta.mu + 3.0 * rng.normal(size=(1, p))
+            assert _same_bits(gauss_loglik_rows(x, theta), oracle_gauss_loglik_rows(x, theta))
+
+    @pytest.mark.parametrize("p", [2, 5, 7])
+    def test_data_far_from_the_origin(self, p):
+        rng = np.random.default_rng(900 + p)
+        theta = GaussParams(1e4 + rng.normal(size=p), random_pd_matrix(rng, p, scale=1e-2))
+        for n in (1, 50):
+            X = theta.mu + 0.1 * rng.normal(size=(n, p))
+            assert _same_bits(gauss_loglik_rows(X, theta), oracle_gauss_loglik_rows(X, theta))
+
+    @pytest.mark.parametrize("p", [2, 5, 7])
+    def test_jittered_near_singular_covariance(self, p):
+        rng = np.random.default_rng(1000 + p)
+        v = rng.normal(size=(p, 1))
+        theta = GaussParams(rng.normal(size=p), v @ v.T)  # rank one: factorized after jitter
+        assert not np.array_equal(theta.sigma, v @ v.T)
+        for n in (1, 40):
+            X = theta.mu + rng.normal(size=(n, p))
+            assert _same_bits(gauss_loglik_rows(X, theta), oracle_gauss_loglik_rows(X, theta))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_fortran_ordered_and_strided_rows(self, p):
+        rng = np.random.default_rng(1100 + p)
+        theta = GaussParams(rng.normal(size=p), random_pd_matrix(rng, p))
+        big = rng.normal(size=(200, 2 * p))
+        want = gauss_loglik_rows(np.ascontiguousarray(big[::2, ::2]), theta)
+        for X in (np.asfortranarray(big[::2, ::2]), big[::2, ::2]):
+            assert _same_bits(gauss_loglik_rows(X, theta), want)
+            assert _same_bits(gauss_loglik_rows(X, theta), oracle_gauss_loglik_rows(X, theta))
+
+    def test_matrix_rows_are_one_node_rows(self):
+        rng = np.random.default_rng(1200)
+        thetas = [GaussParams(rng.normal(size=5), random_pd_matrix(rng, 5)) for _ in range(7)]
+        X = rng.normal(size=(129, 5))
+        ll = gauss_loglik_matrix(X, thetas)
+        assert ll.shape == (7, 129)
+        for row, theta in zip(ll, thetas):
+            assert _same_bits(row, gauss_loglik_rows(X, theta))
+
+    def test_wrong_width_rejected(self):
+        theta = GaussParams(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="shape"):
+            gauss_loglik_rows(np.zeros((4, 2)), theta)
+
+
+class TestMembersFromTheMatrix:
+    """``loglik_members`` reads two or more members from the cycle's matrix
+    row, bitwise the rows scored alone, so ``mdl_score`` with the matrix
+    equals ``mdl_score`` without it."""
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_member_slices(self, p):
+        rng = np.random.default_rng(1300 + p)
+        family = GaussianFamily()
+        thetas = [GaussParams(rng.normal(size=p), random_pd_matrix(rng, p)) for _ in range(3)]
+        X = rng.normal(size=(150, p))
+        ll = family.loglik_matrix(X, thetas)
+        for size in (1, 2, 3, 17, 150):
+            idx = np.sort(rng.choice(150, size, replace=False))
+            for row, theta in zip(ll, thetas):
+                alone = family.loglik_members(X, idx, theta)
+                assert _same_bits(alone, oracle_gauss_loglik_rows(X[idx], theta))
+                assert _same_bits(family.loglik_members(X, idx, theta, row), alone)
+                if size > 1:
+                    assert _same_bits(row[idx], alone)
+
+    def test_mdl_score_reads_the_matrix(self):
+        rng = np.random.default_rng(1400)
+        family = GaussianFamily()
+        data = Dataset(rng.normal(size=(120, 3)))
+        params = {m: GaussParams(rng.normal(size=3), random_pd_matrix(rng, 3)) for m in (1, 4, 6, 9)}
+        labels = rng.choice([1, 4, 6], size=120)
+        labels[7] = 9  # a node with one member
+        assignment = Assignment(labels)
+        ll = family.loglik_matrix(data.values, [params[m] for m in sorted(params)])
+        assert mdl_score(data, assignment, params, family, ll) == mdl_score(data, assignment, params, family)

@@ -1,4 +1,4 @@
-"""Golden models: four seeded fits pinned across commits.
+"""Golden models: five seeded fits pinned across commits.
 
 The acceptance gate's determinism criterion compares two runs of the same
 code. This test compares a fresh fit against fixtures stored under
@@ -35,6 +35,21 @@ def _gauss_mixture() -> Dataset:
     return Dataset(X)
 
 
+def _gauss_p5_mixture() -> Dataset:
+    """Four p=5 blobs with random full covariances: p = 5 scores rows in a
+    triangular-solve block of 4 and one of 1, and sums an odd count of
+    squares."""
+    rng = np.random.default_rng(22)
+    p = 5
+    blocks = []
+    for _ in range(4):
+        A = rng.normal(size=(p, p))
+        cov = A @ A.T / p + 0.2 * np.eye(p)
+        center = 8.0 * rng.normal(size=p)
+        blocks.append(rng.multivariate_normal(center, cov, size=120))
+    return Dataset(np.vstack(blocks))
+
+
 def _multinom_mixture() -> Dataset:
     """Three count profiles over six categories, 30 draws per row."""
     rng = np.random.default_rng(21)
@@ -49,6 +64,7 @@ CASES = {
     # deletion scoring takes its exact fallback
     "faithful-5x5": lambda: (load_faithful(), FitConfig(rows=5, cols=5, seed=1)),
     "gauss-p2-5x5": lambda: (_gauss_mixture(), FitConfig(rows=5, cols=5, seed=3)),
+    "gauss-p5-3x3": lambda: (_gauss_p5_mixture(), FitConfig(rows=3, cols=3, seed=5)),
     "multinom-3x3": lambda: (_multinom_mixture(), FitConfig(family="multinomial", rows=3, cols=3, seed=4)),
 }
 

@@ -22,6 +22,7 @@ from smlsom.structure import SHORTLIST_RTOL, _DeletionSearch, _destinations
 
 from oracles import (
     dense_gauss_loglik,
+    members,
     oracle_deletion_candidates,
     oracle_gauss_kl,
     oracle_mdl,
@@ -61,7 +62,7 @@ def link_weakness(data, assignment, params, m, l, family):
     threshold: the mean of the two one-sided estimates, each over its own
     node's members, read from the cycle's log-likelihood matrix."""
     row = dict(zip(sorted(params), loglik_matrix(data, params, family)))
-    own_m, own_l = assignment.members(m), assignment.members(l)
+    own_m, own_l = members(assignment, m), members(assignment, l)
     d_ml = kl_estimate(row[m][own_m], row[l][own_m])
     d_lm = kl_estimate(row[l][own_l], row[m][own_l])
     return 0.5 * d_ml + 0.5 * d_lm
@@ -381,7 +382,7 @@ class TestTryDeleteNodeMatchesOracle:
     def test_gaussian_split_deletion(self, p):
         rng = np.random.default_rng(30 + p)
         data, g, assignment, params = _gauss_case(rng, p, split=True)
-        assert [assignment.members(m).size for m in (3, 4)] == [1, 0]
+        assert [members(assignment, m).size for m in (3, 4)] == [1, 0]
         result = _assert_matches_oracle(data, g, assignment, params, GAUSS)
         assert result.deleted == 5
         assert len(_receivers(assignment, result)) >= 2
@@ -390,7 +391,7 @@ class TestTryDeleteNodeMatchesOracle:
     def test_gaussian_deletes_empty_node(self, p):
         rng = np.random.default_rng(40 + p)
         data, g, assignment, params = _gauss_case(rng, p, split=False)
-        assert [assignment.members(m).size for m in (3, 4)] == [1, 0]
+        assert [members(assignment, m).size for m in (3, 4)] == [1, 0]
         result = _assert_matches_oracle(data, g, assignment, params, GAUSS)
         assert result.deleted == 4
 
@@ -401,7 +402,7 @@ class TestTryDeleteNodeMatchesOracle:
     def test_multinomial(self, split, deleted):
         rng = np.random.default_rng(50 + split)
         data, g, assignment, params = _multinom_case(rng, split)
-        assert [assignment.members(m).size for m in (3, 4)] == [1, 0]
+        assert [members(assignment, m).size for m in (3, 4)] == [1, 0]
         result = _assert_matches_oracle(data, g, assignment, params, MULTINOM)
         assert result.deleted == deleted
         if split:
