@@ -31,12 +31,18 @@
  * updated node to theta + a (x / T - theta), floored and divided by its
  * sum; a row with T = 0 updates nothing.
  *
- * The element-wise steps and the summation orders follow the numpy
- * expressions they replace (einsum, pairwise sums, OpenBLAS's dgemv), so
- * means, covariances and probabilities come out bitwise equal to numpy's
- * whenever winners agree. The log-likelihood matrix likewise follows
- * scipy's solve_triangular (OpenBLAS dtrsm, or dtrsv for a lone row) and
- * the einsum that summed its squares.
+ * Every sum follows one order, defined here rather than borrowed from a
+ * BLAS, so results do not depend on the host's BLAS or CPU:
+ *   - a dot product is one running sum, ascending from its first product;
+ *   - a triangular step (Cholesky, forward and back substitution) starts
+ *     from its right-hand entry and subtracts the products one at a time,
+ *     ascending;
+ *   - a sum of squares is one running sum, ascending;
+ *   - the exceptions follow numpy's own loops, which do not change with the
+ *     host either: `pairwise_sum` (numpy's pairwise summation) and
+ *     `quad_form` (einsum's order for d' P d).
+ * The numpy references in tests/oracles.py take the same steps in the same
+ * orders, so they match this kernel bit for bit.
  */
 
 #include <math.h>
@@ -85,69 +91,13 @@ static double quad_form(int64_t p, const double *d, const double *P)
     return q;
 }
 
-/* Dot product of a and x as OpenBLAS's dgemv kernels for an AVX2 or
-   AVX-512 x86-64 host sum one output: the first p - p % 4 entries go to
-   `lanes` running sums (lane j takes entries j, j + lanes, ...), each
-   started from its first product and continued with fused multiply-adds
-   when `fused`, reduced as (l0 + l2) + (l1 + l3) for four lanes and
-   l0 + l1 for two; the last p % 4 entries are then added as the kernels' C
-   tail adds them. */
-static inline double lane_dot(int64_t p, const double *a, const double *x, int lanes, int fused)
+/* a . x as one running sum, ascending from its first product (p >= 1). */
+static double dot(int64_t p, const double *a, const double *x)
 {
-    int64_t m1 = p - p % 4, j;
-    double y = 0.0;
-    if (m1 > 0) {
-        double l[4];
-        for (j = 0; j < lanes; j++)
-            l[j] = a[j] * x[j];
-        for (int64_t b = lanes; b < m1; b += lanes)
-            for (j = 0; j < lanes; j++)
-                l[j] = fused ? fma(a[b + j], x[b + j], l[j]) : l[j] + a[b + j] * x[b + j];
-        y = lanes == 4 ? (l[0] + l[2]) + (l[1] + l[3]) : l[0] + l[1];
-    }
-    switch (p - m1) {
-    case 1:
-        return fma(a[m1], x[m1], y);
-    case 2:
-        return y + fma(a[m1], x[m1], a[m1 + 1] * x[m1 + 1]);
-    case 3:
-        return y + fma(a[m1 + 2], x[m1 + 2], fma(a[m1], x[m1], a[m1 + 1] * x[m1 + 1]));
-    }
-    return y;
-}
-
-/* Row i of P d in the four fused lanes of OpenBLAS's 4x4 dgemv kernel,
-   numpy's order for every row when p <= 8 (for larger p numpy sums the
-   last p % 4 rows as `gemv_row` does). The order matters when a
-   near-singular precision turns the last bits of P d into visible
-   differences of the Sherman-Morrison step. */
-static double matvec_row(int64_t p, const double *Pi, const double *d)
-{
-    return lane_dot(p, Pi, d, 4, 1);
-}
-
-/* Row m of the product A x of an M x p row-major matrix and a p-vector, in
-   the order numpy's matmul sums it through OpenBLAS (measured bitwise for
-   M = 1..25 and p = 2..40 with OpenBLAS 0.3.31 on an AVX-512 host): rows in
-   the blocks of four that the 4x4 kernel takes use four fused lanes; of
-   the last M % 4 rows, the 4x2 kernel takes two with two plain lanes and
-   the 4x1 kernel a last odd one with four plain lanes. With M = 1 numpy
-   calls ddot, a sequential fused sum for p < 16 (the winner search does not
-   depend on it, as one node always wins). */
-static double gemv_row(int64_t M, int64_t m, int64_t p, const double *a, const double *x)
-{
-    if (M == 1) {
-        double y = 0.0;
-        for (int64_t i = 0; i < p; i++)
-            y = fma(a[i], x[i], y);
-        return y;
-    }
-    int64_t full = M - M % 4;
-    if (m < full)
-        return lane_dot(p, a, x, 4, 1);
-    if (M % 4 >= 2 && m < full + 2)
-        return lane_dot(p, a, x, 2, 0);
-    return lane_dot(p, a, x, 4, 0);
+    double s = a[0] * x[0];
+    for (int64_t i = 1; i < p; i++)
+        s += a[i] * x[i];
+    return s;
 }
 
 /* np.argmax over M values: the first maximum, or the first NaN. */
@@ -160,18 +110,17 @@ static int64_t first_max(const double *ll, int64_t M)
     return c;
 }
 
-/* Lower Cholesky factor of the symmetric matrix A into L (row-major), in
-   the unblocked LAPACK potf2 order: each pivot subtracts a dot product
-   accumulated with fused multiply-adds, as numpy's LAPACK does for the
-   short rows met here. Returns 0 when a pivot is not positive (or NaN). */
+/* Lower Cholesky factor of the symmetric matrix A into L (row-major), column
+   by column; each entry starts from A's and subtracts the products of the
+   factor's earlier columns, ascending. Returns 0 when a pivot is not
+   positive (or NaN). */
 static int cholesky(int64_t p, const double *A, double *L)
 {
     memset(L, 0, (size_t)(p * p) * sizeof(double));
     for (int64_t j = 0; j < p; j++) {
-        double dot = 0.0;
+        double ajj = A[j * p + j];
         for (int64_t k = 0; k < j; k++)
-            dot = fma(L[j * p + k], L[j * p + k], dot);
-        double ajj = A[j * p + j] - dot;
+            ajj -= L[j * p + k] * L[j * p + k];
         if (!(ajj > 0.0))
             return 0;
         ajj = sqrt(ajj);
@@ -252,7 +201,7 @@ static int node_step(int64_t p, const double *d, double q, double a, int update_
     if (*age < refresh_every && 0.0 < g && g < INFINITY) {
         double *pd = work, ag = a / g;
         for (int64_t i = 0; i < p; i++)
-            pd[i] = matvec_row(p, prec + i * p, d);
+            pd[i] = dot(p, prec + i * p, d);
         for (int64_t i = 0; i < p; i++)
             for (int64_t j = 0; j < p; j++)
                 prec[i * p + j] = (prec[i * p + j] - ag * (pd[i] * pd[j])) / oma;
@@ -340,123 +289,57 @@ int64_t gauss_train_cycle(int64_t p, int64_t M, const double *X, int64_t steps,
    held entry-major (c[i * TILE + t] is entry i of the tile's row t), so
    every step below is one loop over the tile's rows that the compiler can
    vectorize. Each row's own arithmetic is the same as a row alone, in the
-   same order, so the results do not depend on the tiling. */
+   same order, so the results depend neither on the tiling nor on which
+   other rows share the call. */
 #define TILE 64
 #define TILE_LOOP(t) for (int64_t t = 0; t < TILE; t++)
-/* On x86-64 Linux the matrix is built twice, with FMA instructions and
-   without (fma() then calls libm), and the loader picks the one the CPU
-   runs; fma() rounds once either way, so both give the same bits. The
+/* On x86-64 Linux the matrix is built twice, for AVX2 and for the baseline
+   instruction set, and the loader picks the one the CPU runs. Vectors only
+   change how many rows one instruction handles, and -ffp-contract=off
+   keeps products and sums apart, so both builds give the same bits. The
    helpers are always inlined so that each build compiles them for its own
    instruction set. */
 #define SCORING static inline __attribute__((always_inline))
 #if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__)
-#define FMA_CLONES __attribute__((target_clones("fma", "default")))
+#define VECTOR_CLONES __attribute__((target_clones("avx2", "default")))
 #else
-#define FMA_CLONES
+#define VECTOR_CLONES
 #endif
 
-/* y = fma(-w, l, y) over a tile: one right-looking step of the solve. */
-SCORING void tile_update(double *restrict y, const double *restrict w, double l)
+/* w = w * inv and q += w^2 over a tile: one entry of the forward
+   substitution is solved and its square summed. */
+SCORING void tile_solve(double *restrict w, double *restrict q, double inv)
 {
-    TILE_LOOP(t) y[t] = fma(-w[t], l, y[t]);
-}
-
-/* Solve L w = c in place for the lower Cholesky factor L (row-major, p x p)
-   whose diagonal's reciprocals are `inv`, in the order of the OpenBLAS
-   dtrsm that scipy's solve_triangular calls for two or more right-hand
-   sides (measured bitwise for p = 1..40 and p = 47, 48, 63, 64, 65, 80,
-   scipy 1.17.1 with OpenBLAS 0.3.30 on an AVX-512 host).
-   Rows go in blocks: full blocks of 16, then one block of 8, 4, 2 and 1
-   for each of those bits set in p % 16. A block first subtracts from each
-   of its rows one fused dot product of that row of L with the w already
-   solved, ascending from 0.0, then solves its own rows right-looking:
-   w_i = c_i * (1 / L_ii), and every later row k of the block takes
-   c_k = fma(-w_i, L_ki, c_k). `acc` holds TILE doubles. */
-SCORING void forward_solve(int64_t p, const double *L, const double *inv,
-                           double *restrict c, double *restrict acc)
-{
-    for (int64_t s = 0, b; s < p; s += b) {
-        int64_t r = p - s;
-        b = r >= 16 ? 16 : r >= 8 ? 8 : r >= 4 ? 4 : r >= 2 ? 2 : 1;
-        for (int64_t k = s; k < s + b && s > 0; k++) { /* no rows solved before the first block */
-            TILE_LOOP(t) acc[t] = 0.0;
-            for (int64_t j = 0; j < s; j++) {
-                double l = L[k * p + j];
-                TILE_LOOP(t) acc[t] = fma(l, c[j * TILE + t], acc[t]);
-            }
-            TILE_LOOP(t) c[k * TILE + t] -= acc[t];
-        }
-        for (int64_t i = s; i < s + b; i++) {
-            double v = inv[i];
-            TILE_LOOP(t) c[i * TILE + t] *= v;
-            for (int64_t k = i + 1; k < s + b; k++)
-                tile_update(c + k * TILE, c + i * TILE, L[k * p + i]);
-        }
+    TILE_LOOP(t) {
+        w[t] = w[t] * inv;
+        q[t] += w[t] * w[t];
     }
 }
 
-/* Solve L w = c in place for a lone row (c[i * TILE]), in the order of the
-   OpenBLAS dtrsv that scipy's solve_triangular takes for a single
-   right-hand side (measured bitwise for p = 1..16): row i subtracts one
-   fused dot product of row i of L with the w already solved, ascending
-   from 0.0, and is then divided by L_ii. */
-SCORING void lone_solve(int64_t p, const double *L, double *c)
+/* c = c - l * w over a tile: a later entry subtracts a solved one's term. */
+SCORING void tile_subtract(double *restrict c, const double *restrict w, double l)
 {
-    for (int64_t i = 0; i < p; i++) {
-        double dot = 0.0;
-        for (int64_t j = 0; j < i; j++)
-            dot = fma(L[i * p + j], c[j * TILE], dot);
-        c[i * TILE] = (c[i * TILE] - dot) / L[i * p + i];
-    }
-}
-
-/* Sums of squares of each tile row's w into q, in the order
-   np.einsum("ij,ij->j", W, W) sums a column in numpy's two-lane SSE loop:
-   even entries go to one lane and odd entries to the other, as plain
-   products added to the lane, and the lanes are added last. Each full
-   chunk of 8 entries is added from its last pair down. Measured bitwise
-   over the same p as `forward_solve`. `l1` holds TILE doubles. */
-SCORING void sum_squares(int64_t p, const double *restrict w, double *restrict q,
-                         double *restrict l1)
-{
-    TILE_LOOP(t) q[t] = 0.0;
-    TILE_LOOP(t) l1[t] = 0.0;
-    int64_t i = 0;
-    for (; i + 8 <= p; i += 8)
-        for (int64_t j = 6; j >= 0; j -= 2) {
-            const double *e = w + (i + j) * TILE, *o = e + TILE;
-            TILE_LOOP(t) q[t] = e[t] * e[t] + q[t];
-            TILE_LOOP(t) l1[t] = o[t] * o[t] + l1[t];
-        }
-    for (; i < p; i += 2) {
-        const double *e = w + i * TILE, *o = e + TILE;
-        TILE_LOOP(t) q[t] += e[t] * e[t];
-        if (i + 1 < p)
-            TILE_LOOP(t) l1[t] += o[t] * o[t];
-    }
-    TILE_LOOP(t) q[t] += l1[t];
+    TILE_LOOP(t) c[t] -= l * w[t];
 }
 
 /* The M x n matrix of Gaussian log densities: out[m * n + j] is row j of
    the n x p matrix X under node m, with mean mus[m], lower Cholesky factor
    chols[m] (p x p) and constant consts[m] = p log(2 pi) + log|Sigma_m|,
-   as -0.5 * (consts[m] + |L_m^-1 (x_j - mu_m)|^2). With two or more rows
-   each entry depends on its row and node alone, so any rows' entries equal
-   those of a call on just those rows, unless that is a lone row, which
-   `lone_solve` scores. Returns KERNEL_OK or KERNEL_NOMEM. */
-FMA_CLONES
+   as -0.5 * (consts[m] + |w|^2) where L_m w = x_j - mu_m. The forward
+   substitution gives w_i = (c_i - L_i0 w_0 - ... - L_i,i-1 w_i-1) * (1 / L_ii),
+   subtracting in that order, and |w|^2 is summed as w is solved, ascending.
+   Returns KERNEL_OK or KERNEL_NOMEM. */
+VECTOR_CLONES
 int64_t gauss_loglik_matrix(int64_t p, int64_t M, int64_t n, const double *X,
                             const double *mus, const double *chols, const double *consts,
                             double *out)
 {
-    double *buf = malloc((size_t)(p + (p + 3) * TILE) * sizeof(double));
+    double *buf = malloc((size_t)((p + 1) * TILE) * sizeof(double));
     if (!buf)
         return KERNEL_NOMEM;
-    double *inv = buf, *c = buf + p, *q = c + p * TILE, *acc = q + TILE, *lane1 = acc + TILE;
+    double *c = buf, *q = buf + p * TILE;
     for (int64_t m = 0; m < M; m++) {
         const double *mu = mus + m * p, *L = chols + m * p * p;
-        for (int64_t i = 0; i < p; i++)
-            inv[i] = 1.0 / L[i * p + i];
         for (int64_t j0 = 0; j0 < n; j0 += TILE) {
             int64_t rows = n - j0 < TILE ? n - j0 : TILE;
             for (int64_t i = 0; i < p; i++) {
@@ -465,11 +348,12 @@ int64_t gauss_loglik_matrix(int64_t p, int64_t M, int64_t n, const double *X,
                 for (int64_t t = rows; t < TILE; t++)
                     c[i * TILE + t] = 0.0;
             }
-            if (n == 1)
-                lone_solve(p, L, c);
-            else
-                forward_solve(p, L, inv, c, acc);
-            sum_squares(p, c, q, lane1);
+            TILE_LOOP(t) q[t] = 0.0;
+            for (int64_t i = 0; i < p; i++) {
+                tile_solve(c + i * TILE, q, 1.0 / L[i * p + i]);
+                for (int64_t k = i + 1; k < p; k++)
+                    tile_subtract(c + k * TILE, c + i * TILE, L[k * p + i]);
+            }
             for (int64_t t = 0; t < rows; t++)
                 out[m * n + j0 + t] = -0.5 * (consts[m] + q[t]);
         }
@@ -521,7 +405,7 @@ int64_t multinom_train_cycle(int64_t p, int64_t M, const double *X, int64_t step
     for (int64_t t = 0; t < steps; t++) {
         const double *x = X + draws[t] * p;
         for (int64_t m = 0; m < M; m++)
-            ll[m] = coef[t] + gemv_row(M, m, p, logthetas + m * p, x);
+            ll[m] = coef[t] + dot(p, logthetas + m * p, x);
         int64_t c = first_max(ll, M);
         winners[t] = c;
 

@@ -6,16 +6,11 @@ an escalating diagonal jitter before a singular-model error is raised.
 
 Scoring runs in the compiled kernel (``_kernel.c``, built and loaded by
 ``_kernel``): one call writes the log density of every row of X under
-every node, -0.5 (p log 2pi + log|Sigma| + |L^-1 (x - mu)|^2), and one
-node's rows are the one-node case of the same call. The kernel copies the
-rounding of the scipy path it replaced, kept in ``tests/oracles.py``: the
-triangular solve goes in OpenBLAS dtrsm's order (blocks of 16 rows, then
-of 8, 4, 2 and 1 for the bits of p % 16; a fused dot product with the rows
-already solved, then a right-looking solve inside the block), a lone row
-in dtrsv's order (a fused dot product per row, then a division), and the
-squares are summed in two lanes, even and odd entries, as numpy's einsum
-sums them. With two or more rows an entry depends on its row and node
-alone, so a slice of the cycle's matrix is bitwise the rows of the slice.
+every node, -0.5 (p log 2pi + log|Sigma| + |w|^2) for L w = x - mu. The
+forward substitution and the sum of squares follow the kernel's own order
+(ascending, one running sum; see ``_kernel.c``), not a BLAS's, so an entry
+depends on its row and node alone: a slice of the cycle's matrix, even of
+one row, is bitwise the rows of the slice scored alone.
 
 Training runs in the same kernel: one call trains a whole cycle, winner
 search and neighbor updates included. The kernel does not factorize on
@@ -29,6 +24,12 @@ computed. To bound round-off drift a node is re-factorized after every
 element-wise as mu + a d and Sigma + a((1-a) d d^T - Sigma), for d = x - mu,
 which keeps a covariance bitwise symmetric. Without a C compiler, scoring
 and training raise ``SmlsomError``.
+
+Some steps of a fit still go through numpy's BLAS and LAPACK, whose
+rounding follows the host's CPU: ``gauss_batch``'s ``X.T @ X``, the
+Cholesky factor of ``GaussParams`` (``np.linalg.cholesky``), the precision
+by ``cho_solve``, and the eigenvalues of ``gauss_batch_neg_loglik``
+(``eigvalsh``).
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def gauss_batch(samples: np.ndarray) -> GaussParams:
         raise ValueError("need at least one sample")
     mu = X.mean(axis=0)
     sigma = (X.T @ X) / X.shape[0] - np.outer(mu, mu)
-    return GaussParams(mu, 0.5 * (sigma + sigma.T))
+    return GaussParams(mu, sigma)  # GaussParams symmetrizes sigma
 
 
 def gauss_batch_stats(X: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
@@ -276,14 +277,10 @@ class GaussianFamily:
     def validate(self, dataset):
         pass  # any finite real matrix is acceptable
 
-    def loglik_rows(self, X, theta: GaussParams) -> np.ndarray:
-        return gauss_loglik_rows(X, theta)
-
     def loglik_members(self, X, idx, theta: GaussParams, ll_row=None) -> np.ndarray:
-        """``loglik_rows(X[idx], theta)``, bitwise. With ``ll_row``, theta's
-        row of the cycle's matrix, two or more members are read from it; a
-        lone member is scored again, in the kernel's order for a lone row."""
-        if ll_row is not None and idx.size > 1:
+        """``gauss_loglik_rows(X[idx], theta)``, bitwise; read from
+        ``ll_row``, theta's row of the cycle's matrix, when given."""
+        if ll_row is not None:
             return ll_row[idx]
         return gauss_loglik_rows(X[idx], theta)
 

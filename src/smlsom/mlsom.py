@@ -21,8 +21,9 @@ def loglik_matrix(data: Dataset, params: dict, family) -> np.ndarray:
     matrix describes ``params`` as given: it is valid until the parameters
     change, that is for one cycle's classification, link cutting and
     deletion scoring, all of which read it instead of rescoring. The family
-    builds it (``loglik_matrix``), each row bitwise the ``loglik_rows`` of
-    its node, sharing what the rows have in common.
+    builds it (``loglik_matrix``), each row bitwise its node's
+    ``gauss_loglik_rows`` or ``multinom_loglik_rows``, sharing what the rows
+    have in common.
     """
     if not params:
         raise ValueError("empty node table")

@@ -13,9 +13,13 @@ Training runs in the compiled kernel (``_kernel.c``, built and loaded by
 ``_kernel``): one call trains a whole cycle. The kernel scores each drawn
 row under every node, moves the winner's neighbors toward the
 row's relative frequencies, floors and renormalizes them, and keeps their
-logs current. Probabilities come out bitwise equal to the same steps
-written in numpy whenever winners agree. Without a C compiler, training
-raises ``SmlsomError``.
+logs current. A drawn row's score log(theta) . x is one running sum in
+ascending order, the kernel's own (see ``_kernel.c``), whatever the host.
+Without a C compiler, training raises ``SmlsomError``.
+
+Scoring outside training (the cycle's matrix, ``multinom_loglik_rows``) is
+numpy's ``X @ log(theta)``: its summation order follows the host's BLAS, and
+an entry's rounding can depend on the other rows in the product.
 """
 
 from __future__ import annotations
@@ -202,14 +206,11 @@ class MultinomialFamily:
             self._coef = (X, coef)
         return coef
 
-    def loglik_rows(self, X, theta: MultinomParams) -> np.ndarray:
-        return multinom_loglik_rows(X, theta)
-
     def loglik_members(self, X, idx, theta: MultinomParams, ll_row=None) -> np.ndarray:
-        """``loglik_rows(X[idx], theta)``, bitwise, with the coefficients
-        sliced from ``log_coef(X)``. ``ll_row`` (theta's row of the cycle's
-        matrix) is not read: the matrix product over all of X can round a row
-        differently from one over the members alone."""
+        """``multinom_loglik_rows(X[idx], theta)``, bitwise, with the
+        coefficients sliced from ``log_coef(X)``. ``ll_row`` (theta's row of
+        the cycle's matrix) is not read: the matrix product over all of X can
+        round a row differently from one over the members alone."""
         return multinom_loglik_rows(X[idx], theta, self.log_coef(X)[idx])
 
     def loglik_matrix(self, X, thetas: list[MultinomParams]) -> np.ndarray:

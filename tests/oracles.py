@@ -3,9 +3,10 @@
 Everything here deliberately avoids the production code paths: dense
 inverses instead of Cholesky factors, exact integer factorials, explicit
 pair enumeration, naive per-sample summation. The exceptions are
-references that a production path must match bit for bit, such as the
-numpy Gaussian and multinomial training states and the scipy Gaussian
-scoring that the compiled kernel replaced.
+references that a production path must match bit for bit: the numpy
+Gaussian and multinomial training states and the Gaussian scoring, which
+take the compiled kernel's steps in its summation orders (sequential sums
+by ``np.cumsum``, no BLAS), so that they agree with it on every host.
 """
 
 import math
@@ -13,7 +14,7 @@ from functools import partial
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 
 def members(assignment, node) -> np.ndarray:
@@ -21,10 +22,28 @@ def members(assignment, node) -> np.ndarray:
     return np.flatnonzero(assignment.m == node)
 
 
+def ordered_sum(terms) -> np.ndarray:
+    """Sums over the last axis as one running sum, ascending from the
+    first term: the kernel's order."""
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
 def oracle_gauss_loglik_rows(X, theta) -> np.ndarray:
-    """The scipy path the compiled Gaussian scoring replaced, which it must
-    match bit for bit: a triangular solve against the node's Cholesky
-    factor, then an einsum of the squares."""
+    """Gaussian log densities in the compiled kernel's order, which it must
+    match bit for bit: w_i = (c_i - L_i0 w_0 - ... - L_i,i-1 w_i-1) * (1 / L_ii)
+    for c = x - mu, subtracting in that order, then |w|^2 summed ascending."""
+    D = np.atleast_2d(np.asarray(X, dtype=float)) - theta.mu
+    L = theta._chol
+    W = np.empty_like(D)
+    for i in range(theta.p):
+        terms = np.column_stack([D[:, i], -(L[i, :i] * W[:, :i])])
+        W[:, i] = ordered_sum(terms) * (1.0 / L[i, i])
+    return -0.5 * (theta.p * np.log(2.0 * np.pi) + theta.log_det + ordered_sum(W * W))
+
+
+def scipy_gauss_loglik_rows(X, theta) -> np.ndarray:
+    """Gaussian log densities by scipy's triangular solve and an einsum of
+    the squares, in the host BLAS's order: a reference to a tolerance."""
     D = np.asarray(X, dtype=float) - theta.mu
     W = solve_triangular(theta._chol, D.T, lower=True, check_finite=False)
     quad = np.einsum("ij,ij->j", W, W)
@@ -160,6 +179,15 @@ def random_pd_matrix(rng, p, scale=1.0) -> np.ndarray:
     return scale * (A @ A.T + p * np.eye(p) * 0.1)
 
 
+def loglik_rows(family, X, theta) -> np.ndarray:
+    """The family's per-row log-likelihoods of the rows of X under theta."""
+    from smlsom import gauss_loglik_rows
+    from smlsom.multinomial import multinom_loglik_rows
+
+    rows = {"gaussian": gauss_loglik_rows, "multinomial": multinom_loglik_rows}[family.name]
+    return rows(X, theta)
+
+
 def _oracle_score(data, assign, node_params, family):
     """MDL of a map from the family's per-row log-likelihoods."""
     from smlsom.structure import MdlScore
@@ -169,7 +197,7 @@ def _oracle_score(data, assign, node_params, family):
     for m in sorted(node_params):
         idx = members(assign, m)
         if idx.size:
-            neg -= float(family.loglik_rows(X[idx], node_params[m]).sum())
+            neg -= float(loglik_rows(family, X[idx], node_params[m]).sum())
     M = len(node_params)
     return MdlScore(neg, 0.5 * M * family.df(data.p) * math.log(n), n * math.log(M))
 
@@ -182,7 +210,7 @@ def oracle_deletion_candidates(data, assignment, params, family):
 
     X = data.values
     ids = sorted(params)
-    ll = np.stack([family.loglik_rows(X, params[m]) for m in ids])
+    ll = np.stack([loglik_rows(family, X, params[m]) for m in ids])
     out = []
     for pos, m in enumerate(ids):
         moved = members(assignment, m)
@@ -250,6 +278,56 @@ def oracle_radius(s, tau) -> float:
     return r if r >= 1 else 0.5
 
 
+def ordered_cholesky(A):
+    """Lower Cholesky factor of A in the kernel's order: each entry starts
+    from A's and subtracts the products of earlier columns, ascending; an
+    off-diagonal entry is then multiplied by the pivot's reciprocal. None
+    when a pivot is not positive."""
+    p = len(A)
+    L = np.zeros((p, p))
+    for j in range(p):
+        ajj = ordered_sum(np.r_[A[j, j], -(L[j, :j] * L[j, :j])])
+        if not ajj > 0.0:
+            return None
+        L[j, j] = math.sqrt(ajj)
+        inv = 1.0 / L[j, j]
+        for i in range(j + 1, p):
+            L[i, j] = ordered_sum(np.r_[A[i, j], -(L[i, :j] * L[j, :j])]) * inv
+    return L
+
+
+def ordered_refactor(sigma):
+    """The kernel's re-factorization of a training node's covariance:
+    Cholesky with the jitter ladder, the precision by a forward and a back
+    substitution per column, and the log-determinant. Returns the (possibly
+    jittered) covariance, the precision and the log-determinant."""
+    from smlsom import SingularModelError
+    from smlsom.gaussian import _JITTER_STEPS
+
+    p = len(sigma)
+    L = ordered_cholesky(sigma)
+    if L is None:
+        scale = np.sum(np.diag(sigma)) / p
+        if scale <= 0.0:
+            scale = 1.0
+        for eps in _JITTER_STEPS:
+            jittered = sigma + eps * scale * np.eye(p)
+            L = ordered_cholesky(jittered)
+            if L is not None:
+                sigma = jittered
+                break
+        else:
+            raise SingularModelError("covariance not positive definite after maximal jitter")
+    prec = np.empty((p, p))
+    y = np.empty(p)
+    for c in range(p):
+        for i in range(p):  # L y = e_c
+            y[i] = ordered_sum(np.r_[float(i == c), -(L[i, :i] * y[:i])]) / L[i, i]
+        for i in range(p - 1, -1, -1):  # L' x = y
+            prec[i, c] = ordered_sum(np.r_[y[i], -(L[i + 1 :, i] * prec[i + 1 :, c])]) / L[i, i]
+    return sigma, prec, 2.0 * np.sum([math.log(v) for v in np.diag(L)])
+
+
 def moment_step(mu, sigma, d, a):
     """One stochastic moment step from the deviation d = x - mu of the
     pre-update mean. A symmetric sigma stays bitwise symmetric."""
@@ -267,7 +345,8 @@ class OracleGaussTrainState:
     covariance, then moves the precision by Sherman-Morrison and the log
     determinant by the determinant lemma. After ``_REFRESH_EVERY`` such
     rank-one updates of a node, or when the lemma factor is not finite and
-    positive, the update re-factorizes that node's covariance instead.
+    positive, the update re-factorizes that node's covariance instead, by
+    ``ordered_refactor``.
     """
 
     def __init__(self, params_list, update_sigma=True):
@@ -284,7 +363,6 @@ class OracleGaussTrainState:
             self.precs[k] = t.precision
             self.logdets[k] = t.log_det
         self._const = -0.5 * p * _LOG_2PI
-        self._eye = np.eye(p)
         self.ages = [0] * M  # rank-one updates since each node's last factorization
         self._scored = self._dev = self._quad = None  # last loglik_all row and its terms
         self._moved = set()  # nodes updated since that call
@@ -309,7 +387,7 @@ class OracleGaussTrainState:
         self.mus[k], self.sigmas[k] = moment_step(self.mus[k], self.sigmas[k], d, a)
         g = 1.0 + a * self._quad[k]
         if self.ages[k] < _REFRESH_EVERY and 0.0 < g < math.inf:
-            pd = self.precs[k] @ d
+            pd = ordered_sum(self.precs[k] * d)
             self.precs[k] = (self.precs[k] - (a / g) * (pd[:, None] * pd)) / (1.0 - a)
             self.logdets[k] += self.mus.shape[1] * math.log1p(-a) + math.log(g)
             self.ages[k] += 1
@@ -317,12 +395,7 @@ class OracleGaussTrainState:
             self._refactor(k)
 
     def _refactor(self, k):
-        from smlsom.gaussian import _factorize
-
-        sigma, L = _factorize(self.sigmas[k])
-        self.sigmas[k] = sigma
-        self.precs[k] = cho_solve((L, True), self._eye, check_finite=False)
-        self.logdets[k] = 2.0 * np.sum(np.log(np.diag(L)))
+        self.sigmas[k], self.precs[k], self.logdets[k] = ordered_refactor(self.sigmas[k])
         self.ages[k] = 0
 
     def run(self, X, draws, alphas, radii, neighbors):
@@ -358,7 +431,7 @@ class OracleMultinomTrainState:
 
         total = x.sum()
         coef = gammaln(total + 1.0) - gammaln(x + 1.0).sum()
-        return coef + self.logthetas @ x
+        return coef + ordered_sum(self.logthetas * x)
 
     def update(self, k, x, a):
         from smlsom.multinomial import THETA_FLOOR

@@ -235,7 +235,7 @@ def test_criterion_6_kl_consistency():
         theta_m = GaussParams(rng.normal(size=p), random_pd_matrix(rng, p))
         theta_l = GaussParams(rng.normal(size=p), random_pd_matrix(rng, p))
         x = rng.multivariate_normal(theta_m.mu, theta_m.sigma, size=k)
-        ll_m, ll_l = GAUSS.loglik_rows(x, theta_m), GAUSS.loglik_rows(x, theta_l)
+        ll_m, ll_l = gauss_loglik_rows(x, theta_m), gauss_loglik_rows(x, theta_l)
         est = kl_estimate(ll_m, ll_l)
         exact = oracle_gauss_kl(theta_m.mu, theta_m.sigma, theta_l.mu, theta_l.sigma)
         ratios = ll_m - ll_l

@@ -91,6 +91,8 @@ class TestOverlapMc:
 
     @pytest.mark.parametrize("p, k, structure", [(2, 6, "spherical-heterogeneous"), (5, 6, "nonspherical-heterogeneous"), (7, 3, "nonspherical-homogeneous")])
     def test_matches_one_component_at_a_time_scipy_scoring(self, p, k, structure):
+        # bitwise against scoring each component alone (``oracle_overlap_mc``),
+        # in numpy in the kernel's order; scipy's order is only close to it
         spec = random_mixture(p, k, structure, np.random.default_rng(40 + p))
         pair, mean = overlap_mc(spec, 5_000, np.random.default_rng(41))
         want_pair, want_mean = oracle_overlap_mc(spec, 5_000, np.random.default_rng(41))

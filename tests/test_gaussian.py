@@ -30,7 +30,13 @@ from smlsom.core import Assignment, Dataset
 from smlsom.gaussian import _REFRESH_EVERY, gauss_loglik_matrix
 from smlsom.mlsom import neighbor_table
 
-from oracles import OracleGaussTrainState, dense_gauss_loglik, oracle_gauss_loglik_rows, random_pd_matrix
+from oracles import (
+    OracleGaussTrainState,
+    dense_gauss_loglik,
+    oracle_gauss_loglik_rows,
+    random_pd_matrix,
+    scipy_gauss_loglik_rows,
+)
 
 # a covariance captured from a collapsing node: Cholesky accepts it, while an
 # LU inverse reports it singular
@@ -43,13 +49,12 @@ CHOLESKY_ACCEPTED_SINGULAR = np.array(
 
 
 def assert_matches_oracle(state, oracle):
-    """Means and covariances bitwise; precisions and log-determinants to
-    1e-9 relative to each matrix."""
+    """Means, covariances, precisions and log-determinants bitwise: the
+    oracle takes the kernel's steps in its orders."""
     np.testing.assert_array_equal(state.mus, oracle.mus)
     np.testing.assert_array_equal(state.sigmas, oracle.sigmas)
-    scale = np.abs(oracle.precs).max(axis=(1, 2))
-    assert np.all(np.abs(state.precs - oracle.precs).max(axis=(1, 2)) <= 1e-9 * scale)
-    assert np.all(np.abs(state.logdets - oracle.logdets) <= 1e-9 * np.maximum(1.0, np.abs(oracle.logdets)))
+    np.testing.assert_array_equal(state.precs, oracle.precs)
+    np.testing.assert_array_equal(state.logdets, oracle.logdets)
 
 
 def loglik_at(x, theta):
@@ -232,7 +237,7 @@ def node_updates(winners, table, radii) -> np.ndarray:
 
 class TestKernelMatchesOracle:
     """A whole training cycle in the kernel against the numpy oracle state:
-    identical winners, bitwise means and covariances."""
+    identical winners, bitwise parameters."""
 
     @staticmethod
     def run_both(X, params, steps, rng, update_sigma=True, r1=2.0):
@@ -405,11 +410,16 @@ def _same_bits(got, want):
     return np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def assert_matches_scipy(got, X, theta):
+    """Within 1e-12 relative of scipy's triangular solve and einsum, which
+    sum in the host BLAS's order."""
+    np.testing.assert_allclose(got, scipy_gauss_loglik_rows(X, theta), rtol=1e-12, atol=0)
+
+
 class TestScoringMatchesScipy:
-    """The kernel's log-likelihoods are bitwise those of the scipy
-    triangular solve and einsum it replaced (``oracle_gauss_loglik_rows``),
-    for every p whose summation order is known: two or more rows up to
-    p = 80 (spot-checked past 40), a lone row up to p = 16."""
+    """The kernel's log-likelihoods are bitwise those of the numpy oracle
+    written in the kernel's order (``oracle_gauss_loglik_rows``), on every
+    host, and within 1e-12 relative of scipy's triangular solve."""
 
     @pytest.mark.parametrize("p", [*range(1, 21), 33, 48, 65])
     def test_rows(self, p):
@@ -417,15 +427,21 @@ class TestScoringMatchesScipy:
         for n in (2, 3, 63, 64, 65, 300):
             theta = GaussParams(rng.normal(size=p), random_pd_matrix(rng, p))
             X = theta.mu + 3.0 * rng.normal(size=(n, p))
-            assert _same_bits(gauss_loglik_rows(X, theta), oracle_gauss_loglik_rows(X, theta)), n
+            got = gauss_loglik_rows(X, theta)
+            assert _same_bits(got, oracle_gauss_loglik_rows(X, theta)), n
+            assert_matches_scipy(got, X, theta)
 
     @pytest.mark.parametrize("p", range(1, 17))
     def test_lone_row(self, p):
+        # a lone row takes the path of many: bitwise its entry in a larger call
         rng = np.random.default_rng(800 + p)
         for _ in range(20):
             theta = GaussParams(rng.normal(size=p), random_pd_matrix(rng, p))
-            x = theta.mu + 3.0 * rng.normal(size=(1, p))
-            assert _same_bits(gauss_loglik_rows(x, theta), oracle_gauss_loglik_rows(x, theta))
+            X = theta.mu + 3.0 * rng.normal(size=(5, p))
+            got = gauss_loglik_rows(X[2:3], theta)
+            assert _same_bits(got, oracle_gauss_loglik_rows(X[2:3], theta))
+            assert _same_bits(got, gauss_loglik_rows(X, theta)[2:3])
+            assert_matches_scipy(got, X[2:3], theta)
 
     @pytest.mark.parametrize("p", [2, 5, 7])
     def test_data_far_from_the_origin(self, p):
@@ -433,7 +449,9 @@ class TestScoringMatchesScipy:
         theta = GaussParams(1e4 + rng.normal(size=p), random_pd_matrix(rng, p, scale=1e-2))
         for n in (1, 50):
             X = theta.mu + 0.1 * rng.normal(size=(n, p))
-            assert _same_bits(gauss_loglik_rows(X, theta), oracle_gauss_loglik_rows(X, theta))
+            got = gauss_loglik_rows(X, theta)
+            assert _same_bits(got, oracle_gauss_loglik_rows(X, theta))
+            assert_matches_scipy(got, X, theta)
 
     @pytest.mark.parametrize("p", [2, 5, 7])
     def test_jittered_near_singular_covariance(self, p):
@@ -443,7 +461,9 @@ class TestScoringMatchesScipy:
         assert not np.array_equal(theta.sigma, v @ v.T)
         for n in (1, 40):
             X = theta.mu + rng.normal(size=(n, p))
-            assert _same_bits(gauss_loglik_rows(X, theta), oracle_gauss_loglik_rows(X, theta))
+            got = gauss_loglik_rows(X, theta)
+            assert _same_bits(got, oracle_gauss_loglik_rows(X, theta))
+            assert_matches_scipy(got, X, theta)
 
     @pytest.mark.parametrize("p", [3, 5])
     def test_fortran_ordered_and_strided_rows(self, p):
@@ -471,11 +491,11 @@ class TestScoringMatchesScipy:
 
 
 class TestMembersFromTheMatrix:
-    """``loglik_members`` reads two or more members from the cycle's matrix
-    row, bitwise the rows scored alone, so ``mdl_score`` with the matrix
-    equals ``mdl_score`` without it."""
+    """``loglik_members`` reads any number of members from the cycle's
+    matrix row, bitwise the rows scored alone, so ``mdl_score`` with the
+    matrix equals ``mdl_score`` without it."""
 
-    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize("p", range(1, 21))
     def test_member_slices(self, p):
         rng = np.random.default_rng(1300 + p)
         family = GaussianFamily()
@@ -488,8 +508,7 @@ class TestMembersFromTheMatrix:
                 alone = family.loglik_members(X, idx, theta)
                 assert _same_bits(alone, oracle_gauss_loglik_rows(X[idx], theta))
                 assert _same_bits(family.loglik_members(X, idx, theta, row), alone)
-                if size > 1:
-                    assert _same_bits(row[idx], alone)
+                assert _same_bits(row[idx], alone)
 
     def test_mdl_score_reads_the_matrix(self):
         rng = np.random.default_rng(1400)

@@ -19,6 +19,7 @@ from smlsom.mlsom import ml_winners
 from oracles import (
     OracleGaussianFamily,
     OracleMultinomialFamily,
+    loglik_rows,
     moment_step,
     oracle_alpha,
     oracle_radius,
@@ -191,7 +192,7 @@ class TestTrain:
 
 class TestLoglikMatrix:
     """The family builds the matrix; every row is bitwise its node's
-    ``loglik_rows``."""
+    ``gauss_loglik_rows`` or ``multinom_loglik_rows``."""
 
     @pytest.mark.parametrize("layout", ["c", "fortran"])
     def test_rows_equal_loglik_rows(self, layout):
@@ -208,7 +209,7 @@ class TestLoglikMatrix:
             ll = loglik_matrix(data, params, family)
             assert ll.shape == (len(params), data.n)
             for row, m in zip(ll, sorted(params)):
-                assert row.tobytes() == family.loglik_rows(data.values, params[m]).tobytes()
+                assert row.tobytes() == loglik_rows(family, data.values, params[m]).tobytes()
 
 
 class TestKohonenReduction:

@@ -236,8 +236,7 @@ class TestKernelMatchesOracle:
         assert_matches_oracle(state, oracle)
         return winners
 
-    # every row class of numpy's matrix-vector product: blocks of four
-    # rows, the two- and one-row remainders, and the single-node dot product
+    # node counts from one node up to a map of 25
     @pytest.mark.parametrize("M", [*range(1, 10), 25])
     @pytest.mark.parametrize("p", [2, 3, 6, 10, 12])
     def test_random_cycles(self, p, M):
@@ -251,7 +250,8 @@ class TestKernelMatchesOracle:
     def test_scores_in_numpys_order(self, p):
         # near-twin nodes, whose scores differ in the last bits, and a
         # neighbor table with no rows, so that no node moves: every winner
-        # turns on the order in which the scores were summed
+        # turns on the order in which the scores were summed, which the
+        # oracle writes in numpy as the kernel's ascending running sum
         for M in [*range(1, 10), 25]:
             rng = np.random.default_rng(100 * p + M)
             base = rng.dirichlet(np.ones(p))

@@ -22,6 +22,7 @@ from smlsom.structure import SHORTLIST_RTOL, _DeletionSearch, _destinations
 
 from oracles import (
     dense_gauss_loglik,
+    loglik_rows,
     members,
     oracle_deletion_candidates,
     oracle_gauss_kl,
@@ -54,7 +55,7 @@ def two_blob_fixture(rng, sep=20.0, n_per=150):
 
 def kl_between(x, theta_m, theta_l, family):
     """kl_estimate of D(theta_m || theta_l) over the samples x."""
-    return kl_estimate(family.loglik_rows(x, theta_m), family.loglik_rows(x, theta_l))
+    return kl_estimate(loglik_rows(family, x, theta_m), loglik_rows(family, x, theta_l))
 
 
 def link_weakness(data, assignment, params, m, l, family):
