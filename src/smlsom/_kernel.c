@@ -13,17 +13,18 @@
  * winner's neighbours within the radius. Node state is stacked and updated
  * in place.
  *
- * Gaussian nodes hold means (M x p), covariances and precisions
- * (M x p x p), log-determinants (M) and refresh ages (M):
+ * Gaussian nodes hold means (M x p), covariances and lower Cholesky factors
+ * (M x p x p) and log-determinants (M). A row scores
+ * -0.5 (p log 2pi + logdet + |w|^2) for L w = x - mu, and a step moves
  *
- *   mu'    = mu + a d                         d = x - mu, q = d' P d
- *   Sigma' = Sigma + a ((1 - a) d d' - Sigma)
- *   P'     = (P - (a / g) (P d)(P d)') / (1 - a),   g = 1 + a q
- *   logdet' = logdet + (p log1p(-a) + log g)
+ *   mu'     = mu + a d                        d = x - mu, q = |w|^2
+ *   Sigma'  = Sigma + a ((1 - a) d d' - Sigma)
+ *   L'      = sqrt(1 - a) chol(L L' + a d d')  (rank-one Givens update)
+ *   logdet' = logdet + (p log1p(-a) + log(1 + a q))
  *
- * A node is re-factorized by Cholesky after `refresh_every` rank-one
- * updates, or at once when g is not finite and positive. A covariance that
- * Cholesky rejects gets the jitter ladder eps * trace/p on its diagonal.
+ * so the factor is kept current without ever factorizing; the only
+ * Cholesky of the program is GaussParams' (numpy's LAPACK), at the start of
+ * each cycle.
  *
  * Multinomial nodes hold probabilities theta (M x p) and their logs. A row
  * x with total T scores coef + log(theta) . x, where the caller passes
@@ -34,13 +35,12 @@
  * Every sum follows one order, defined here rather than borrowed from a
  * BLAS, so results do not depend on the host's BLAS or CPU:
  *   - a dot product is one running sum, ascending from its first product;
- *   - a triangular step (Cholesky, forward and back substitution) starts
- *     from its right-hand entry and subtracts the products one at a time,
- *     ascending;
+ *   - a forward substitution starts from its right-hand entry, subtracts
+ *     the products one at a time, ascending, and multiplies by the pivot's
+ *     reciprocal;
  *   - a sum of squares is one running sum, ascending;
- *   - the exceptions follow numpy's own loops, which do not change with the
- *     host either: `pairwise_sum` (numpy's pairwise summation) and
- *     `quad_form` (einsum's order for d' P d).
+ *   - the exception follows numpy's own loop, which does not change with the
+ *     host either: `pairwise_sum` (numpy's pairwise summation).
  * The numpy references in tests/oracles.py take the same steps in the same
  * orders, so they match this kernel bit for bit.
  */
@@ -48,47 +48,35 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
 #define KERNEL_OK (-1)
 #define KERNEL_NOMEM (-2)
 
-/* numpy's pairwise summation of n strided doubles, started from 0.0. */
-static double pairwise_sum(const double *a, int64_t n, int64_t stride)
+/* numpy's pairwise summation of n doubles, started from 0.0. */
+static double pairwise_sum(const double *a, int64_t n)
 {
     if (n < 8) {
         double res = 0.0;
         for (int64_t i = 0; i < n; i++)
-            res += a[i * stride];
+            res += a[i];
         return res;
     }
     if (n <= 128) {
         double r[8], res;
         int64_t i;
         for (int j = 0; j < 8; j++)
-            r[j] = a[j * stride];
+            r[j] = a[j];
         for (i = 8; i < n - (n % 8); i += 8)
             for (int j = 0; j < 8; j++)
-                r[j] += a[(i + j) * stride];
+                r[j] += a[i + j];
         res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
         for (; i < n; i++)
-            res += a[i * stride];
+            res += a[i];
         return res;
     }
     int64_t n2 = n / 2;
     n2 -= n2 % 8;
-    return pairwise_sum(a, n2, stride) + pairwise_sum(a + n2 * stride, n - n2, stride);
-}
-
-/* d' P d in the order einsum("mi,mij,mj->m") sums it over two or more
-   nodes: one running sum of (d_i P_ij) d_j over i, then j. */
-static double quad_form(int64_t p, const double *d, const double *P)
-{
-    double q = 0.0;
-    for (int64_t i = 0; i < p; i++)
-        for (int64_t j = 0; j < p; j++)
-            q += d[i] * P[i * p + j] * d[j];
-    return q;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
 /* a . x as one running sum, ascending from its first product (p >= 1). */
@@ -110,160 +98,183 @@ static int64_t first_max(const double *ll, int64_t M)
     return c;
 }
 
-/* Lower Cholesky factor of the symmetric matrix A into L (row-major), column
-   by column; each entry starts from A's and subtracts the products of the
-   factor's earlier columns, ascending. Returns 0 when a pivot is not
-   positive (or NaN). */
-static int cholesky(int64_t p, const double *A, double *L)
+/* The multinomial cycle sits before the Gaussian training code: placed after
+   it, gcc 12 -O2 laid it out 9-21% slower on a Xeon host (same source, paired
+   calls on the same buffers), from code placement alone. */
+
+/* Move one multinomial node toward the row x with total T > 0 at rate a,
+   as numpy does: theta + a (x / T - theta), floored at `floor`
+   (np.maximum), divided by its pairwise sum, then the logs. */
+static void multinom_step(int64_t p, const double *x, double T, double a, double floor,
+                          double *theta, double *logtheta)
 {
-    memset(L, 0, (size_t)(p * p) * sizeof(double));
-    for (int64_t j = 0; j < p; j++) {
-        double ajj = A[j * p + j];
-        for (int64_t k = 0; k < j; k++)
-            ajj -= L[j * p + k] * L[j * p + k];
-        if (!(ajj > 0.0))
-            return 0;
-        ajj = sqrt(ajj);
-        L[j * p + j] = ajj;
-        double inv = 1.0 / ajj;
-        for (int64_t i = j + 1; i < p; i++) {
-            double s = A[i * p + j];
-            for (int64_t k = 0; k < j; k++)
-                s -= L[i * p + k] * L[j * p + k];
-            L[i * p + j] = s * inv;
-        }
+    for (int64_t i = 0; i < p; i++) {
+        double v = theta[i] + a * (x[i] / T - theta[i]);
+        theta[i] = v < floor ? floor : v; /* keeps a NaN, as np.maximum does */
     }
-    return 1;
+    double s = pairwise_sum(theta, p);
+    for (int64_t i = 0; i < p; i++) {
+        theta[i] = theta[i] / s;
+        logtheta[i] = log(theta[i]);
+    }
 }
 
-/* Re-factorize one node: Cholesky of sigma, with the jitter ladder when it
-   fails (the accepted jittered matrix replaces sigma), then the precision
-   from the factor by two triangular solves per column and the
-   log-determinant from its diagonal. `work` holds 2 p^2 + p doubles.
-   Returns 0 when the whole ladder fails. */
-static int refactor(int64_t p, double *sigma, double *prec, double *logdet,
-                    const double *jitter, int64_t n_jitter, double *work)
+/* One update of multinomial node k from the count row x. */
+int64_t multinom_update_node(int64_t p, int64_t k, const double *x, double a, double floor,
+                             double *thetas, double *logthetas)
 {
-    double *L = work, *J = work + p * p, *y = work + 2 * p * p;
-    if (!cholesky(p, sigma, L)) {
-        double scale = pairwise_sum(sigma, p, p + 1) / (double)p;
-        if (scale <= 0.0)
-            scale = 1.0;
-        int64_t s;
-        for (s = 0; s < n_jitter; s++) {
-            double e = jitter[s] * scale;
-            for (int64_t i = 0; i < p; i++)
-                for (int64_t j = 0; j < p; j++)
-                    J[i * p + j] = sigma[i * p + j] + e * (i == j ? 1.0 : 0.0);
-            if (cholesky(p, J, L))
+    double T = pairwise_sum(x, p);
+    if (T != 0.0)
+        multinom_step(p, x, T, a, floor, thetas + k * p, logthetas + k * p);
+    return KERNEL_OK;
+}
+
+/* A whole multinomial training cycle: the arguments up to nb_hops are those
+   of gauss_train_cycle below; coef[t] is the multinomial coefficient of step
+   t's row and `floor` the probability floor. Returns KERNEL_OK or
+   KERNEL_NOMEM. */
+int64_t multinom_train_cycle(int64_t p, int64_t M, const double *X, int64_t steps,
+                             const int64_t *draws, const double *alphas, const double *radii,
+                             const int64_t *nb_ptr, const int64_t *nb_idx, const int64_t *nb_hops,
+                             const double *coef, double floor, double *thetas, double *logthetas,
+                             int64_t *winners)
+{
+    double *ll = malloc((size_t)M * sizeof(double));
+    if (!ll)
+        return KERNEL_NOMEM;
+    for (int64_t t = 0; t < steps; t++) {
+        const double *x = X + draws[t] * p;
+        for (int64_t m = 0; m < M; m++)
+            ll[m] = coef[t] + dot(p, logthetas + m * p, x);
+        int64_t c = first_max(ll, M);
+        winners[t] = c;
+
+        double T = pairwise_sum(x, p);
+        if (T == 0.0)
+            continue;
+        for (int64_t j = nb_ptr[c]; j < nb_ptr[c + 1]; j++) {
+            if ((double)nb_hops[j] > radii[t])
                 break;
-        }
-        if (s == n_jitter)
-            return 0;
-        memcpy(sigma, J, (size_t)(p * p) * sizeof(double));
-    }
-    for (int64_t c = 0; c < p; c++) {
-        for (int64_t i = 0; i < p; i++) { /* L y = e_c */
-            double s = (i == c) ? 1.0 : 0.0;
-            for (int64_t k = 0; k < i; k++)
-                s -= L[i * p + k] * y[k];
-            y[i] = s / L[i * p + i];
-        }
-        for (int64_t i = p - 1; i >= 0; i--) { /* L' x = y */
-            double s = y[i];
-            for (int64_t k = i + 1; k < p; k++)
-                s -= L[k * p + i] * prec[k * p + c];
-            prec[i * p + c] = s / L[i * p + i];
+            int64_t k = nb_idx[j];
+            multinom_step(p, x, T, alphas[t], floor, thetas + k * p, logthetas + k * p);
         }
     }
-    for (int64_t i = 0; i < p; i++)
-        y[i] = log(L[i * p + i]);
-    *logdet = 2.0 * pairwise_sum(y, p, 1);
-    return 1;
+    free(ll);
+    return KERNEL_OK;
 }
 
-/* One node's update from its deviation d and quadratic form q. Returns 0
-   when a re-factorization exhausts the jitter ladder. */
-static int node_step(int64_t p, const double *d, double q, double a, int update_sigma,
-                     int64_t refresh_every, const double *jitter, int64_t n_jitter,
-                     double *mu, double *sigma, double *prec, double *logdet,
-                     int64_t *age, double *work)
+/* The deviation d = x - mu, and the forward substitution L w = d for a
+   lower factor L with reciprocal pivots rdiag[i] = 1 / L_ii, in the order
+   of gauss_loglik_matrix: w_i starts from d_i, subtracts L_i0 w_0, ...,
+   L_i,i-1 w_i-1 in that order and is multiplied by rdiag[i]. Returns |w|^2,
+   summed as w is solved, ascending. */
+static double deviation_sq(int64_t p, const double *x, const double *mu, const double *L,
+                           const double *rdiag, double *d, double *w)
+{
+    double q = 0.0;
+    for (int64_t i = 0; i < p; i++)
+        d[i] = x[i] - mu[i];
+    for (int64_t i = 0; i < p; i++) {
+        double s = d[i];
+        for (int64_t k = 0; k < i; k++)
+            s -= L[i * p + k] * w[k];
+        w[i] = s * rdiag[i];
+        q += w[i] * w[i];
+    }
+    return q;
+}
+
+/* rdiag[i] = 1 / L_ii. */
+static void pivots(int64_t p, const double *L, double *rdiag)
+{
+    for (int64_t i = 0; i < p; i++)
+        rdiag[i] = 1.0 / L[i * p + i];
+}
+
+/* One node's update from its deviation d and q = |w|^2 for L w = d. The
+   factor becomes that of (1 - a)(L L' + a d d'): column k of the rank-one
+   update of L L' + v v', v = sqrt(a) d, is the Givens rotation
+   r = sqrt(L_kk^2 + v_k^2), c = r / L_kk, s = v_k / L_kk (Gill, Golub,
+   Murray & Saunders 1974), with L_kk = r and, for i > k,
+   l = (L_ik + s v_i) (L_kk / r), v_i = c v_i - s l and L_ik = l; each new
+   entry is stored times sqrt(1 - a). Divisions by L_kk multiply by the
+   cached rdiag[k] = 1 / L_kk, which is then renewed. `v` holds p doubles of
+   scratch. */
+static void node_step(int64_t p, const double *d, double q, double a, int update_sigma,
+                      double *mu, double *sigma, double *L, double *rdiag, double *logdet,
+                      double *v)
 {
     for (int64_t i = 0; i < p; i++)
         mu[i] = mu[i] + a * d[i];
     if (!update_sigma)
-        return 1;
+        return;
     double oma = 1.0 - a;
     for (int64_t i = 0; i < p; i++)
         for (int64_t j = 0; j < p; j++)
             sigma[i * p + j] = sigma[i * p + j] + a * (oma * (d[i] * d[j]) - sigma[i * p + j]);
-    double g = 1.0 + a * q;
-    if (*age < refresh_every && 0.0 < g && g < INFINITY) {
-        double *pd = work, ag = a / g;
-        for (int64_t i = 0; i < p; i++)
-            pd[i] = dot(p, prec + i * p, d);
-        for (int64_t i = 0; i < p; i++)
-            for (int64_t j = 0; j < p; j++)
-                prec[i * p + j] = (prec[i * p + j] - ag * (pd[i] * pd[j])) / oma;
-        *logdet += (double)p * log1p(-a) + log(g);
-        *age += 1;
-        return 1;
+    double sa = sqrt(a), so = sqrt(oma);
+    for (int64_t i = 0; i < p; i++)
+        v[i] = sa * d[i];
+    for (int64_t k = 0; k < p; k++) {
+        double lkk = L[k * p + k];
+        double r = sqrt(lkk * lkk + v[k] * v[k]);
+        double c = r * rdiag[k], s = v[k] * rdiag[k], rc = lkk / r;
+        L[k * p + k] = r * so;
+        rdiag[k] = 1.0 / L[k * p + k];
+        for (int64_t i = k + 1; i < p; i++) {
+            double l = (L[i * p + k] + s * v[i]) * rc;
+            v[i] = c * v[i] - s * l;
+            L[i * p + k] = l * so;
+        }
     }
-    *age = 0;
-    return refactor(p, sigma, prec, logdet, jitter, n_jitter, work);
+    *logdet += (double)p * log1p(-a) + log(1.0 + a * q);
 }
 
-/* One update of node k from the sample x. Returns KERNEL_OK, or k when the
-   node's covariance stays singular after the whole jitter ladder. */
-int64_t gauss_update_node(int64_t p, int64_t k, const double *x, double a,
-                          int update_sigma, int64_t refresh_every,
-                          const double *jitter, int64_t n_jitter,
-                          double *mus, double *sigmas, double *precs,
-                          double *logdets, int64_t *ages)
+/* One update of node k from the sample x. Returns KERNEL_OK or
+   KERNEL_NOMEM. */
+int64_t gauss_update_node(int64_t p, int64_t k, const double *x, double a, int update_sigma,
+                          double *mus, double *sigmas, double *chols, double *logdets)
 {
-    double *buf = malloc((size_t)(2 * p * p + 2 * p) * sizeof(double));
+    /* zeroed, so gcc's -Wmaybe-uninitialized need not prove p >= 1 */
+    double *buf = calloc((size_t)(3 * p), sizeof(double));
     if (!buf)
         return KERNEL_NOMEM;
-    double *d = buf, *work = buf + p;
-    const double *mu = mus + k * p, *prec = precs + k * p * p;
-    for (int64_t i = 0; i < p; i++)
-        d[i] = x[i] - mu[i];
-    int ok = node_step(p, d, quad_form(p, d, prec), a, update_sigma, refresh_every,
-                       jitter, n_jitter, mus + k * p, sigmas + k * p * p,
-                       precs + k * p * p, logdets + k, ages + k, work);
+    double *d = buf, *rdiag = buf + p, *w = buf + 2 * p;
+    double *L = chols + k * p * p;
+    pivots(p, L, rdiag);
+    double q = deviation_sq(p, x, mus + k * p, L, rdiag, d, w);
+    node_step(p, d, q, a, update_sigma, mus + k * p, sigmas + k * p * p, L, rdiag,
+              logdets + k, w);
     free(buf);
-    return ok ? KERNEL_OK : k;
+    return KERNEL_OK;
 }
 
 /* A whole training cycle of `steps` steps. Step t draws row draws[t] of the
    n x p matrix X, trains at rate alphas[t] and radius radii[t], and writes
    its winner's index to winners[t]. Node c's neighbours, itself included,
    are nb_idx[nb_ptr[c] .. nb_ptr[c+1]) at hop counts nb_hops[...], sorted
-   by (hops, index). `cst` is -p log(2 pi) / 2. Returns KERNEL_OK,
-   KERNEL_NOMEM, or the index of a node whose covariance stays singular
-   after the whole jitter ladder. */
+   by (hops, index). Node m scores -0.5 * ((plog2pi + logdets[m]) + |w|^2),
+   plog2pi = p log(2 pi): bitwise its gauss_loglik_matrix entry. Returns
+   KERNEL_OK or KERNEL_NOMEM. */
 int64_t gauss_train_cycle(int64_t p, int64_t M, const double *X, int64_t steps,
                           const int64_t *draws, const double *alphas, const double *radii,
                           const int64_t *nb_ptr, const int64_t *nb_idx, const int64_t *nb_hops,
-                          double cst, int update_sigma, int64_t refresh_every,
-                          const double *jitter, int64_t n_jitter,
-                          double *mus, double *sigmas, double *precs, double *logdets,
-                          int64_t *ages, int64_t *winners)
+                          double plog2pi, int update_sigma, double *mus, double *sigmas,
+                          double *chols, double *logdets, int64_t *winners)
 {
-    double *buf = malloc((size_t)(M * p + 2 * M + 2 * p * p + p) * sizeof(double));
+    double *buf = malloc((size_t)(2 * M * p + 2 * M + p) * sizeof(double));
     if (!buf)
         return KERNEL_NOMEM;
-    double *dev = buf, *quad = buf + M * p, *ll = quad + M, *work = ll + M;
-    int64_t status = KERNEL_OK;
+    double *dev = buf, *rdiag = buf + M * p, *quad = rdiag + M * p, *ll = quad + M, *w = ll + M;
+    for (int64_t m = 0; m < M; m++)
+        pivots(p, chols + m * p * p, rdiag + m * p);
 
-    for (int64_t t = 0; t < steps && status == KERNEL_OK; t++) {
+    for (int64_t t = 0; t < steps; t++) {
         const double *x = X + draws[t] * p;
         for (int64_t m = 0; m < M; m++) {
-            double *d = dev + m * p;
-            for (int64_t i = 0; i < p; i++)
-                d[i] = x[i] - mus[m * p + i];
-            quad[m] = quad_form(p, d, precs + m * p * p);
-            ll[m] = cst - 0.5 * (logdets[m] + quad[m]);
+            quad[m] = deviation_sq(p, x, mus + m * p, chols + m * p * p, rdiag + m * p,
+                                   dev + m * p, w);
+            ll[m] = -0.5 * ((plog2pi + logdets[m]) + quad[m]);
         }
         int64_t c = first_max(ll, M);
         winners[t] = c;
@@ -273,16 +284,12 @@ int64_t gauss_train_cycle(int64_t p, int64_t M, const double *X, int64_t steps,
             if ((double)nb_hops[j] > radii[t])
                 break;
             int64_t k = nb_idx[j];
-            if (!node_step(p, dev + k * p, quad[k], a, update_sigma, refresh_every,
-                           jitter, n_jitter, mus + k * p, sigmas + k * p * p,
-                           precs + k * p * p, logdets + k, ages + k, work)) {
-                status = k;
-                break;
-            }
+            node_step(p, dev + k * p, quad[k], a, update_sigma, mus + k * p, sigmas + k * p * p,
+                      chols + k * p * p, rdiag + k * p, logdets + k, w);
         }
     }
     free(buf);
-    return status;
+    return KERNEL_OK;
 }
 
 /* The log-likelihood matrix works on tiles of TILE rows of X at a time,
@@ -359,66 +366,5 @@ int64_t gauss_loglik_matrix(int64_t p, int64_t M, int64_t n, const double *X,
         }
     }
     free(buf);
-    return KERNEL_OK;
-}
-
-/* Move one multinomial node toward the row x with total T > 0 at rate a,
-   as numpy does: theta + a (x / T - theta), floored at `floor`
-   (np.maximum), divided by its pairwise sum, then the logs. */
-static void multinom_step(int64_t p, const double *x, double T, double a, double floor,
-                          double *theta, double *logtheta)
-{
-    for (int64_t i = 0; i < p; i++) {
-        double v = theta[i] + a * (x[i] / T - theta[i]);
-        theta[i] = v < floor ? floor : v; /* keeps a NaN, as np.maximum does */
-    }
-    double s = pairwise_sum(theta, p, 1);
-    for (int64_t i = 0; i < p; i++) {
-        theta[i] = theta[i] / s;
-        logtheta[i] = log(theta[i]);
-    }
-}
-
-/* One update of multinomial node k from the count row x. */
-int64_t multinom_update_node(int64_t p, int64_t k, const double *x, double a, double floor,
-                             double *thetas, double *logthetas)
-{
-    double T = pairwise_sum(x, p, 1);
-    if (T != 0.0)
-        multinom_step(p, x, T, a, floor, thetas + k * p, logthetas + k * p);
-    return KERNEL_OK;
-}
-
-/* A whole multinomial training cycle: the arguments up to nb_hops are those
-   of gauss_train_cycle; coef[t] is the multinomial coefficient of step t's
-   row and `floor` the probability floor. Returns KERNEL_OK or
-   KERNEL_NOMEM. */
-int64_t multinom_train_cycle(int64_t p, int64_t M, const double *X, int64_t steps,
-                             const int64_t *draws, const double *alphas, const double *radii,
-                             const int64_t *nb_ptr, const int64_t *nb_idx, const int64_t *nb_hops,
-                             const double *coef, double floor, double *thetas, double *logthetas,
-                             int64_t *winners)
-{
-    double *ll = malloc((size_t)M * sizeof(double));
-    if (!ll)
-        return KERNEL_NOMEM;
-    for (int64_t t = 0; t < steps; t++) {
-        const double *x = X + draws[t] * p;
-        for (int64_t m = 0; m < M; m++)
-            ll[m] = coef[t] + dot(p, logthetas + m * p, x);
-        int64_t c = first_max(ll, M);
-        winners[t] = c;
-
-        double T = pairwise_sum(x, p, 1);
-        if (T == 0.0)
-            continue;
-        for (int64_t j = nb_ptr[c]; j < nb_ptr[c + 1]; j++) {
-            if ((double)nb_hops[j] > radii[t])
-                break;
-            int64_t k = nb_idx[j];
-            multinom_step(p, x, T, alphas[t], floor, thetas + k * p, logthetas + k * p);
-        }
-    }
-    free(ll);
     return KERNEL_OK;
 }

@@ -23,16 +23,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SingularModelError, SmlsomError
+from .errors import SmlsomError
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 _CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_KERNEL_OK, _KERNEL_NOMEM = -1, -2  # kernel status codes; any other is a singular node's index
+_KERNEL_OK = -1  # kernel status code; the only other, KERNEL_NOMEM, is a failed allocation
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # p, M, X, steps, draws, alphas, radii and the neighbor table's ptr, idx, hops
 _CYCLE_ARGTYPES = [_I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]
-_GAUSS_STATE = [ctypes.c_int, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR]
+_GAUSS_STATE = [ctypes.c_int, _PTR, _PTR, _PTR, _PTR]  # update_sigma, mus, sigmas, chols, logdets
 _MULTINOM_STATE = [_F64, _PTR, _PTR]  # floor, thetas, logthetas
 _ENTRY_POINTS = {
     "gauss_update_node": [_I64, _I64, _PTR, _F64, *_GAUSS_STATE],
@@ -142,7 +142,5 @@ def cycle_args(X, draws, alphas, radii, neighbors, M: int, p: int) -> tuple[np.n
 
 def check_status(status: int):
     """Raise for a kernel status other than OK."""
-    if status == _KERNEL_NOMEM:
-        raise MemoryError("compiled kernel could not allocate its buffers")
     if status != _KERNEL_OK:
-        raise SingularModelError("covariance not positive definite after maximal jitter")
+        raise MemoryError("compiled kernel could not allocate its buffers")

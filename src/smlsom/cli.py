@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -27,13 +26,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("SMLSOM_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--init", choices=["pca", "random"], default="pca")
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--restarts", type=int, default=1)
-    f.add_argument("--jobs", type=int, default=_default_jobs())
+    f.add_argument("--jobs", type=int, default=1)
     f.add_argument("--out", required=True, help="model JSON path; assignment goes to <out>.assign.csv")
 
     s = sub.add_parser("score", help="MDL report for a saved model on a dataset")

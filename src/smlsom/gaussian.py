@@ -13,23 +13,22 @@ depends on its row and node alone: a slice of the cycle's matrix, even of
 one row, is bitwise the rows of the slice scored alone.
 
 Training runs in the same kernel: one call trains a whole cycle, winner
-search and neighbor updates included. The kernel does not factorize on
-every step. A moment step moves a covariance by a scaled rank-one term,
-Sigma' = (1-a)Sigma + a(1-a)dd^T, so the precision follows by
-Sherman-Morrison and the log-determinant by the matrix determinant lemma,
-both from the quadratic form d^T P d that the winner search has already
-computed. To bound round-off drift a node is re-factorized after every
-``_REFRESH_EVERY`` rank-one updates, and at once when the lemma's factor
-1 + a d^T P d is not finite and positive. Means and covariances move
-element-wise as mu + a d and Sigma + a((1-a) d d^T - Sigma), for d = x - mu,
-which keeps a covariance bitwise symmetric. Without a C compiler, scoring
-and training raise ``SmlsomError``.
+search and neighbor updates included. The training state stacks each
+node's mean, covariance, Cholesky factor and log-determinant, starting from
+``GaussParams``' own, and scores a drawn row by the same forward
+substitution as the matrix, so a step's score is bitwise the matrix entry
+for the same parameters. A step moves mean and covariance element-wise as
+mu + a d and Sigma + a((1-a) d d^T - Sigma), for d = x - mu, which keeps a
+covariance bitwise symmetric. Since Sigma' = (1-a)(Sigma + a d d^T), the
+factor follows by a rank-one Cholesky update and a sqrt(1-a) scale, and the
+log-determinant by the matrix determinant lemma from the |w|^2 that the
+winner search has already computed; nothing is factorized during a cycle.
+Without a C compiler, scoring and training raise ``SmlsomError``.
 
 Some steps of a fit still go through numpy's BLAS and LAPACK, whose
 rounding follows the host's CPU: ``gauss_batch``'s ``X.T @ X``, the
-Cholesky factor of ``GaussParams`` (``np.linalg.cholesky``), the precision
-by ``cho_solve``, and the eigenvalues of ``gauss_batch_neg_loglik``
-(``eigvalsh``).
+Cholesky factor of ``GaussParams`` (``np.linalg.cholesky``), and the
+eigenvalues of ``gauss_batch_neg_loglik`` (``eigvalsh``).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from ._kernel import buffer, check_status, cycle_args, kernel
 from .errors import SingularModelError
@@ -45,7 +43,6 @@ from .errors import SingularModelError
 _LOG_2PI = np.log(2.0 * np.pi)
 _JITTER_STEPS = (1e-10, 1e-8, 1e-6)
 _SYM_TOL = 1e-10
-_REFRESH_EVERY = 50  # rank-one updates of a training-state node between factorizations
 # A closed-form batch neg-loglik is trusted only while the covariance's
 # smallest eigenvalue exceeds this share of the rows' largest raw second
 # moment, which bounds the relative round-off of the log-determinant.
@@ -98,10 +95,6 @@ class GaussParams:
     @property
     def p(self) -> int:
         return self.mu.size
-
-    @property
-    def precision(self) -> np.ndarray:
-        return cho_solve((self._chol, True), np.eye(self.p), check_finite=False)
 
 
 def gauss_loglik_matrix(X: np.ndarray, thetas: list[GaussParams]) -> np.ndarray:
@@ -199,7 +192,7 @@ def gauss_df(p: int) -> int:
 class _GaussTrainState:
     """Stacked node parameters for training, updated in place by the kernel.
 
-    Holds means, covariances, precisions, log-determinants and refresh ages
+    Holds means, covariances, lower Cholesky factors and log-determinants
     for every node, in the order of the parameter list it was built from.
     ``run`` trains a whole cycle in one kernel call; ``update`` applies one
     node update through the same kernel routine.
@@ -208,31 +201,20 @@ class _GaussTrainState:
     def __init__(self, params_list: list[GaussParams], update_sigma: bool = True):
         self._lib = kernel()
         self.update_sigma = update_sigma
-        p = params_list[0].p
-        M = len(params_list)
         self.mus = np.stack([t.mu for t in params_list])
         self.sigmas = np.stack([t.sigma for t in params_list])
-        self.precs = np.empty((M, p, p))
-        self.logdets = np.empty(M)
-        for k, t in enumerate(params_list):
-            self.precs[k] = t.precision
-            self.logdets[k] = t.log_det
-        self.ages = np.zeros(M, dtype=np.int64)  # rank-one updates since each node's last factorization
-        self._jitter = np.array(_JITTER_STEPS)
+        self.chols = np.stack([t._chol for t in params_list])
+        self.logdets = np.array([t.log_det for t in params_list])
 
     def _state_args(self) -> tuple:
         """Kernel arguments shared by both entry points, checked."""
         M, p = self.mus.shape
         return (
             int(self.update_sigma),
-            _REFRESH_EVERY,
-            buffer(self._jitter, np.float64, (len(_JITTER_STEPS),)),
-            len(_JITTER_STEPS),
             buffer(self.mus, np.float64, (M, p), out=True),
             buffer(self.sigmas, np.float64, (M, p, p), out=True),
-            buffer(self.precs, np.float64, (M, p, p), out=True),
+            buffer(self.chols, np.float64, (M, p, p), out=True),
             buffer(self.logdets, np.float64, (M,), out=True),
-            buffer(self.ages, np.int64, (M,), out=True),
         )
 
     def update(self, k: int, x: np.ndarray, a: float):
@@ -255,7 +237,7 @@ class _GaussTrainState:
         check_status(
             self._lib.gauss_train_cycle(
                 *args,
-                -0.5 * p * _LOG_2PI,
+                p * _LOG_2PI,
                 *self._state_args(),
                 buffer(winners, np.int64, winners.shape, out=True),
             )

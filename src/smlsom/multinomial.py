@@ -34,6 +34,15 @@ from ._kernel import buffer, check_status, cycle_args, kernel
 THETA_FLOOR = 1e-10
 
 
+def _floor_probabilities(theta: np.ndarray) -> np.ndarray:
+    """theta / sum(theta) over the last axis, clipped at 2 * THETA_FLOOR and
+    divided by its sum again; clipping above the floor keeps the second
+    division from dipping back under it."""
+    theta = theta / theta.sum(axis=-1, keepdims=True)
+    theta = np.maximum(theta, 2.0 * THETA_FLOOR)
+    return theta / theta.sum(axis=-1, keepdims=True)
+
+
 @dataclass(frozen=True)
 class MultinomParams:
     """Probability vector on the p-simplex, floored at THETA_FLOOR."""
@@ -46,13 +55,9 @@ class MultinomParams:
             raise ValueError("need at least 2 categories")
         if np.any(theta < 0) or not np.isfinite(theta).all():
             raise ValueError("theta entries must be finite and non-negative")
-        s = theta.sum()
-        if s <= 0:
+        if theta.sum() <= 0:
             raise ValueError("theta must have positive mass")
-        # clip above the floor so renormalization cannot dip back under it
-        theta = np.maximum(theta / s, 2.0 * THETA_FLOOR)
-        theta = theta / theta.sum()
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", _floor_probabilities(theta))
 
     @property
     def p(self) -> int:
@@ -120,10 +125,7 @@ def multinom_batch_neg_loglik(stats: np.ndarray, p: int) -> np.ndarray:
     are not needed."""
     usable, freqs, counts, coef = stats[:, 0], stats[:, 1 : 1 + p], stats[:, 1 + p : 1 + 2 * p], stats[:, -1]
     # the sum of frequencies, not their mean: the renormalisation divides out the count
-    theta = np.where(usable[:, None] > 0, freqs, 1.0)
-    theta = theta / theta.sum(axis=1, keepdims=True)
-    theta = np.maximum(theta, 2.0 * THETA_FLOOR)
-    theta = theta / theta.sum(axis=1, keepdims=True)
+    theta = _floor_probabilities(np.where(usable[:, None] > 0, freqs, 1.0))
     return -(coef + np.einsum("ij,ij->i", counts, np.log(theta)))
 
 

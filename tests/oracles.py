@@ -28,17 +28,23 @@ def ordered_sum(terms) -> np.ndarray:
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
+def ordered_quad(D, L) -> np.ndarray:
+    """|w|^2 for L w = d, d the last axis of D and L lower triangular (or a
+    stack of them, one per leading index of D), in the compiled kernel's
+    order: w_i = (d_i - L_i0 w_0 - ... - L_i,i-1 w_i-1) * (1 / L_ii),
+    subtracting in that order, then |w|^2 summed ascending."""
+    W = np.empty_like(D)
+    for i in range(D.shape[-1]):
+        terms = np.concatenate([D[..., i : i + 1], -(L[..., i, :i] * W[..., :i])], axis=-1)
+        W[..., i] = ordered_sum(terms) * (1.0 / L[..., i, i])
+    return ordered_sum(W * W)
+
+
 def oracle_gauss_loglik_rows(X, theta) -> np.ndarray:
     """Gaussian log densities in the compiled kernel's order, which it must
-    match bit for bit: w_i = (c_i - L_i0 w_0 - ... - L_i,i-1 w_i-1) * (1 / L_ii)
-    for c = x - mu, subtracting in that order, then |w|^2 summed ascending."""
+    match bit for bit (``ordered_quad``)."""
     D = np.atleast_2d(np.asarray(X, dtype=float)) - theta.mu
-    L = theta._chol
-    W = np.empty_like(D)
-    for i in range(theta.p):
-        terms = np.column_stack([D[:, i], -(L[i, :i] * W[:, :i])])
-        W[:, i] = ordered_sum(terms) * (1.0 / L[i, i])
-    return -0.5 * (theta.p * np.log(2.0 * np.pi) + theta.log_det + ordered_sum(W * W))
+    return -0.5 * (theta.p * np.log(2.0 * np.pi) + theta.log_det + ordered_quad(D, theta._chol))
 
 
 def scipy_gauss_loglik_rows(X, theta) -> np.ndarray:
@@ -278,105 +284,62 @@ def oracle_radius(s, tau) -> float:
     return r if r >= 1 else 0.5
 
 
-def ordered_cholesky(A):
-    """Lower Cholesky factor of A in the kernel's order: each entry starts
-    from A's and subtracts the products of earlier columns, ascending; an
-    off-diagonal entry is then multiplied by the pivot's reciprocal. None
-    when a pivot is not positive."""
-    p = len(A)
-    L = np.zeros((p, p))
-    for j in range(p):
-        ajj = ordered_sum(np.r_[A[j, j], -(L[j, :j] * L[j, :j])])
-        if not ajj > 0.0:
-            return None
-        L[j, j] = math.sqrt(ajj)
-        inv = 1.0 / L[j, j]
-        for i in range(j + 1, p):
-            L[i, j] = ordered_sum(np.r_[A[i, j], -(L[i, :j] * L[j, :j])]) * inv
-    return L
-
-
-def ordered_refactor(sigma):
-    """The kernel's re-factorization of a training node's covariance:
-    Cholesky with the jitter ladder, the precision by a forward and a back
-    substitution per column, and the log-determinant. Returns the (possibly
-    jittered) covariance, the precision and the log-determinant."""
-    from smlsom import SingularModelError
-    from smlsom.gaussian import _JITTER_STEPS
-
-    p = len(sigma)
-    L = ordered_cholesky(sigma)
-    if L is None:
-        scale = np.sum(np.diag(sigma)) / p
-        if scale <= 0.0:
-            scale = 1.0
-        for eps in _JITTER_STEPS:
-            jittered = sigma + eps * scale * np.eye(p)
-            L = ordered_cholesky(jittered)
-            if L is not None:
-                sigma = jittered
-                break
-        else:
-            raise SingularModelError("covariance not positive definite after maximal jitter")
-    prec = np.empty((p, p))
-    y = np.empty(p)
-    for c in range(p):
-        for i in range(p):  # L y = e_c
-            y[i] = ordered_sum(np.r_[float(i == c), -(L[i, :i] * y[:i])]) / L[i, i]
-        for i in range(p - 1, -1, -1):  # L' x = y
-            prec[i, c] = ordered_sum(np.r_[y[i], -(L[i + 1 :, i] * prec[i + 1 :, c])]) / L[i, i]
-    return sigma, prec, 2.0 * np.sum([math.log(v) for v in np.diag(L)])
-
-
 def moment_step(mu, sigma, d, a):
     """One stochastic moment step from the deviation d = x - mu of the
     pre-update mean. A symmetric sigma stays bitwise symmetric."""
     return mu + a * d, sigma + a * ((1.0 - a) * (d[:, None] * d) - sigma)
 
 
+def factor_step(L, d, a):
+    """The kernel's factor of (1 - a)(L L' + a d d'): a rank-one Givens
+    update of L L' by v = sqrt(a) d, column by column, each new entry
+    stored times sqrt(1 - a); a division by L_kk multiplies by 1 / L_kk."""
+    L = L.copy()
+    v = math.sqrt(a) * d
+    so = math.sqrt(1.0 - a)
+    for k in range(len(L)):
+        rl = 1.0 / L[k, k]
+        r = math.sqrt(L[k, k] * L[k, k] + v[k] * v[k])
+        c, s, rc = r * rl, v[k] * rl, L[k, k] / r
+        L[k, k] = r * so
+        col = (L[k + 1 :, k] + s * v[k + 1 :]) * rc
+        v[k + 1 :] = c * v[k + 1 :] - s * col
+        L[k + 1 :, k] = col * so
+    return L
+
+
 class OracleGaussTrainState:
     """The numpy Gaussian training state, step by step in Python.
 
-    Keeps per-node precision matrices and log determinants current so a
-    winner search is a single einsum over all live nodes. ``loglik_all``
-    keeps the deviations and quadratic forms it computes; ``update`` reuses
-    them when handed the row last scored (the same object, unmodified) and
-    rescores otherwise. An update applies the moment step to the mean and
-    covariance, then moves the precision by Sherman-Morrison and the log
-    determinant by the determinant lemma. After ``_REFRESH_EVERY`` such
-    rank-one updates of a node, or when the lemma factor is not finite and
-    positive, the update re-factorizes that node's covariance instead, by
-    ``ordered_refactor``.
+    Keeps per-node Cholesky factors and log determinants current, so a
+    winner search is one forward substitution per node (``ordered_quad``).
+    ``loglik_all`` keeps the deviations and |w|^2 it computes; ``update``
+    reuses them when handed the row last scored (the same object,
+    unmodified) and rescores otherwise. An update applies the moment step to
+    the mean and covariance, ``factor_step`` to the factor, and the
+    determinant lemma to the log determinant.
     """
 
     def __init__(self, params_list, update_sigma=True):
         from smlsom.gaussian import _LOG_2PI
 
         self.update_sigma = update_sigma
-        p = params_list[0].p
-        M = len(params_list)
         self.mus = np.stack([t.mu for t in params_list])
         self.sigmas = np.stack([t.sigma for t in params_list])
-        self.precs = np.empty((M, p, p))
-        self.logdets = np.empty(M)
-        for k, t in enumerate(params_list):
-            self.precs[k] = t.precision
-            self.logdets[k] = t.log_det
-        self._const = -0.5 * p * _LOG_2PI
-        self.ages = [0] * M  # rank-one updates since each node's last factorization
+        self.chols = np.stack([t._chol for t in params_list])
+        self.logdets = np.array([t.log_det for t in params_list])
+        self._plog2pi = params_list[0].p * _LOG_2PI
         self._scored = self._dev = self._quad = None  # last loglik_all row and its terms
         self._moved = set()  # nodes updated since that call
 
     def loglik_all(self, x):
         D = x - self.mus
-        quad = np.einsum("mi,mij,mj->m", D, self.precs, D)
+        quad = ordered_quad(D, self.chols)
         self._scored, self._dev, self._quad = x, D, quad
         self._moved = set()
-        return self._const - 0.5 * (self.logdets + quad)
+        return -0.5 * ((self._plog2pi + self.logdets) + quad)
 
     def update(self, k, x, a):
-        from smlsom.gaussian import _REFRESH_EVERY
-
         if x is not self._scored or k in self._moved:
             self.loglik_all(x)
         self._moved.add(k)
@@ -385,18 +348,8 @@ class OracleGaussTrainState:
             self.mus[k] = self.mus[k] + a * d
             return
         self.mus[k], self.sigmas[k] = moment_step(self.mus[k], self.sigmas[k], d, a)
-        g = 1.0 + a * self._quad[k]
-        if self.ages[k] < _REFRESH_EVERY and 0.0 < g < math.inf:
-            pd = ordered_sum(self.precs[k] * d)
-            self.precs[k] = (self.precs[k] - (a / g) * (pd[:, None] * pd)) / (1.0 - a)
-            self.logdets[k] += self.mus.shape[1] * math.log1p(-a) + math.log(g)
-            self.ages[k] += 1
-        else:
-            self._refactor(k)
-
-    def _refactor(self, k):
-        self.sigmas[k], self.precs[k], self.logdets[k] = ordered_refactor(self.sigmas[k])
-        self.ages[k] = 0
+        self.chols[k] = factor_step(self.chols[k], d, a)
+        self.logdets[k] += self.mus.shape[1] * math.log1p(-a) + math.log(1.0 + a * self._quad[k])
 
     def run(self, X, draws, alphas, radii, neighbors):
         """The training loop of one cycle, one Python step at a time."""

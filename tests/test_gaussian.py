@@ -15,7 +15,6 @@ from smlsom import (
     GaussianFamily,
     GaussParams,
     Schedule,
-    SingularModelError,
     SmlsomError,
     gauss_batch,
     gauss_df,
@@ -27,7 +26,7 @@ from smlsom import (
 )
 from smlsom._kernel import kernel_path, load_kernel
 from smlsom.core import Assignment, Dataset
-from smlsom.gaussian import _REFRESH_EVERY, gauss_loglik_matrix
+from smlsom.gaussian import gauss_loglik_matrix
 from smlsom.mlsom import neighbor_table
 
 from oracles import (
@@ -49,11 +48,11 @@ CHOLESKY_ACCEPTED_SINGULAR = np.array(
 
 
 def assert_matches_oracle(state, oracle):
-    """Means, covariances, precisions and log-determinants bitwise: the
-    oracle takes the kernel's steps in its orders."""
+    """Means, covariances, Cholesky factors and log-determinants bitwise:
+    the oracle takes the kernel's steps in its orders."""
     np.testing.assert_array_equal(state.mus, oracle.mus)
     np.testing.assert_array_equal(state.sigmas, oracle.sigmas)
-    np.testing.assert_array_equal(state.precs, oracle.precs)
+    np.testing.assert_array_equal(state.chols, oracle.chols)
     np.testing.assert_array_equal(state.logdets, oracle.logdets)
 
 
@@ -158,9 +157,21 @@ class TestUpdate:
         np.testing.assert_allclose(state.sigmas[0], true_sigma, atol=0.25)
 
 
+def assert_factors_track(state):
+    """Each node's factor L reproduces its covariance, L L' within 1e-12 of
+    the covariance's largest entry, and its log-determinant is slogdet's
+    within 1e-9."""
+    LLt = state.chols @ state.chols.transpose(0, 2, 1)
+    scale = np.abs(state.sigmas).max(axis=(1, 2))
+    assert np.all(np.abs(LLt - state.sigmas).max(axis=(1, 2)) <= 1e-12 * scale)
+    sign, logdet = np.linalg.slogdet(state.sigmas)
+    assert np.all(sign == 1)
+    np.testing.assert_allclose(state.logdets, logdet, rtol=0, atol=1e-9)
+
+
 class TestTrainState:
-    """The stacked state the training loop updates: rank-one precision and
-    log-det steps with periodic re-factorization, in the compiled kernel."""
+    """The stacked state the training loop updates: rank-one Cholesky and
+    log-det steps, in the compiled kernel."""
 
     @staticmethod
     def params(rng, p, M=3):
@@ -174,8 +185,7 @@ class TestTrainState:
         # the numpy oracle both reusing the deviations of its last winner
         # search (cached) and rescoring on every update (uncached)
         cached, uncached = OracleGaussTrainState(params), OracleGaussTrainState(params)
-        # node 0 is updated twice per row, and goes through more than two refreshes
-        for _ in range(2 * _REFRESH_EVERY + 1):
+        for _ in range(101):  # node 0 is updated twice per row
             x = rng.normal(size=p, scale=2.0)
             a = rng.uniform(0.0, 0.5)
             cached.loglik_all(x)
@@ -186,23 +196,21 @@ class TestTrainState:
             assert_matches_oracle(state, cached)
             assert_matches_oracle(state, uncached)
             np.testing.assert_array_equal(state.sigmas, state.sigmas.transpose(0, 2, 1))
-            inv = np.linalg.inv(state.sigmas)
-            scale = np.abs(inv).max(axis=(1, 2))  # relative to each matrix, not entry
-            assert np.all(np.abs(state.precs - inv).max(axis=(1, 2)) <= 1e-9 * scale)
-            sign, logdet = np.linalg.slogdet(state.sigmas)
-            assert np.all(sign == 1)
-            np.testing.assert_allclose(state.logdets, logdet, rtol=0, atol=1e-9)
+            assert_factors_track(state)
 
-    def test_refresh_on_cholesky_accepted_singular_covariance(self):
-        sigma = CHOLESKY_ACCEPTED_SINGULAR
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.inv(sigma)
-        state = GaussianFamily().make_state([GaussParams([0.3, -0.2], sigma)])
-        x = np.array([0.5, 0.1])
-        for _ in range(_REFRESH_EVERY + 1):  # the last update re-factorizes
-            state.update(0, x, 0.0)
-        np.testing.assert_array_equal(state.sigmas[0], sigma)
-        assert np.all(np.isfinite(state.precs)) and np.all(np.isfinite(state.logdets))
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_factor_tracks_ill_conditioned_starts(self, p):
+        # nodes that start nearly singular: the Cholesky-accepted singular
+        # covariance (p = 2) and batch fits of p + 1 rows
+        rng = np.random.default_rng(1600 + p)
+        params = [gauss_batch(rng.normal(size=(p + 1, p))) for _ in range(3)]
+        if p == 2:
+            params.append(GaussParams([0.3, -0.2], CHOLESKY_ACCEPTED_SINGULAR))
+        state = GaussianFamily().make_state(params)
+        for _ in range(200):
+            k = rng.integers(len(params))
+            state.update(k, state.mus[k] + 0.3 * rng.normal(size=p), rng.uniform(0.0, 0.5))
+        assert_factors_track(state)
 
     def test_rejects_arrays_the_kernel_cannot_read(self):
         rng = np.random.default_rng(0)
@@ -226,15 +234,6 @@ class TestTrainState:
             state.update(0, np.zeros(2), 0.1)
 
 
-def node_updates(winners, table, radii) -> np.ndarray:
-    """How often each node was updated, from a run's winners."""
-    counts = np.zeros(len(table.ptr) - 1, dtype=int)
-    for c, r in zip(winners, radii):
-        row = slice(table.ptr[c], table.ptr[c + 1])
-        counts[table.idx[row][table.hops[row] <= r]] += 1
-    return counts
-
-
 class TestKernelMatchesOracle:
     """A whole training cycle in the kernel against the numpy oracle state:
     identical winners, bitwise parameters."""
@@ -250,7 +249,7 @@ class TestKernelMatchesOracle:
         winners = state.run(*args)
         np.testing.assert_array_equal(winners, oracle.run(*args))
         assert_matches_oracle(state, oracle)
-        return winners, node_updates(winners, table, args[3])
+        return winners
 
     @pytest.mark.parametrize("update_sigma", [True, False])
     @pytest.mark.parametrize("p", [1, 2, 5, 12])
@@ -259,15 +258,13 @@ class TestKernelMatchesOracle:
         centers = rng.normal(size=(4, p), scale=3.0)
         X = centers[rng.integers(4, size=600)] + rng.normal(size=(600, p)) * rng.uniform(0.2, 2.0, size=p)
         params = [GaussParams(X[i], random_pd_matrix(rng, p)) for i in rng.choice(600, 6, replace=False)]
-        _, updates = self.run_both(X, params, 1500, rng, update_sigma)
-        assert updates.min() > 2 * _REFRESH_EVERY  # every node crossed at least two refreshes
+        self.run_both(X, params, 1500, rng, update_sigma)
 
     def test_cholesky_accepted_singular_covariance(self):
         rng = np.random.default_rng(7)
         params = [GaussParams(rng.normal(size=2), CHOLESKY_ACCEPTED_SINGULAR) for _ in range(6)]
         X = rng.normal(size=(200, 2)) * 0.3
-        _, updates = self.run_both(X, params, 400, rng)
-        assert updates.max() > _REFRESH_EVERY
+        self.run_both(X, params, 400, rng)
 
     def test_ties_go_to_the_first_node(self):
         rng = np.random.default_rng(9)
@@ -275,22 +272,27 @@ class TestKernelMatchesOracle:
         X = rng.normal(size=(100, 3))
         # hard phase only: the untrained nodes stay exact twins, so a node
         # can win only after every node before it has won
-        winners, _ = self.run_both(X, [theta] * 6, 200, rng, r1=0.5)
+        winners = self.run_both(X, [theta] * 6, 200, rng, r1=0.5)
         first_wins = [int(k) for k in dict.fromkeys(winners.tolist())]
         assert first_wins == list(range(len(first_wins))) and len(first_wins) > 2
 
-    def test_covariance_that_exhausts_the_jitter_ladder(self):
-        rng = np.random.default_rng(8)
-        params = [GaussParams(rng.normal(size=2), np.eye(2)) for _ in range(6)]
-        X = rng.normal(size=(50, 2))
-        graph = lattice_graph(2, 3, "hexagonal")
-        sched = Schedule(r1=3.0, tau_max=5)  # every node is updated on the first step
-        args = (X, rng.integers(50, size=5), schedule_alphas(sched), schedule_radii(sched), neighbor_table(graph, list(range(6))))
-        for state in (GaussianFamily().make_state(params), OracleGaussTrainState(params)):
-            state.sigmas[4] = np.diag([1.0, -100.0])  # indefinite: no jitter helps
-            state.ages[4] = _REFRESH_EVERY
-            with pytest.raises(SingularModelError, match="after maximal jitter"):
-                state.run(*args)
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_one_step_wins_at_the_matrix_argmax(self, p):
+        # a step scores bitwise like the matrix: from a fresh state, every
+        # row's winner is the first maximum of its column, among nodes that
+        # tie exactly (twins) or differ in a score's last bits (a mean one
+        # ulp away)
+        rng = np.random.default_rng(1700 + p)
+        base = [GaussParams(rng.normal(size=p), random_pd_matrix(rng, p)) for _ in range(3)]
+        near = [GaussParams(np.nextafter(t.mu, np.inf), t.sigma) for t in base]
+        params = [*base, *near, *base]
+        X = rng.normal(size=(300, p))
+        ll = gauss_loglik_matrix(X, params)
+        table = neighbor_table(lattice_graph(3, 3), list(range(9)))
+        for j in range(len(X)):
+            state = GaussianFamily().make_state(params)
+            (winner,) = state.run(X, np.array([j]), np.array([0.05]), np.array([0.5]), table)
+            assert winner == np.argmax(ll[:, j]), j
 
 
 class TestKernelBuild:
