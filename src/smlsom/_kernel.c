@@ -119,16 +119,6 @@ static void multinom_step(int64_t p, const double *x, double T, double a, double
     }
 }
 
-/* One update of multinomial node k from the count row x. */
-int64_t multinom_update_node(int64_t p, int64_t k, const double *x, double a, double floor,
-                             double *thetas, double *logthetas)
-{
-    double T = pairwise_sum(x, p);
-    if (T != 0.0)
-        multinom_step(p, x, T, a, floor, thetas + k * p, logthetas + k * p);
-    return KERNEL_OK;
-}
-
 /* A whole multinomial training cycle: the arguments up to nb_hops are those
    of gauss_train_cycle below; coef[t] is the multinomial coefficient of step
    t's row and `floor` the probability floor. Returns KERNEL_OK or
@@ -228,25 +218,6 @@ static void node_step(int64_t p, const double *d, double q, double a, int update
         }
     }
     *logdet += (double)p * log1p(-a) + log(1.0 + a * q);
-}
-
-/* One update of node k from the sample x. Returns KERNEL_OK or
-   KERNEL_NOMEM. */
-int64_t gauss_update_node(int64_t p, int64_t k, const double *x, double a, int update_sigma,
-                          double *mus, double *sigmas, double *chols, double *logdets)
-{
-    /* zeroed, so gcc's -Wmaybe-uninitialized need not prove p >= 1 */
-    double *buf = calloc((size_t)(3 * p), sizeof(double));
-    if (!buf)
-        return KERNEL_NOMEM;
-    double *d = buf, *rdiag = buf + p, *w = buf + 2 * p;
-    double *L = chols + k * p * p;
-    pivots(p, L, rdiag);
-    double q = deviation_sq(p, x, mus + k * p, L, rdiag, d, w);
-    node_step(p, d, q, a, update_sigma, mus + k * p, sigmas + k * p * p, L, rdiag,
-              logdets + k, w);
-    free(buf);
-    return KERNEL_OK;
 }
 
 /* A whole training cycle of `steps` steps. Step t draws row draws[t] of the

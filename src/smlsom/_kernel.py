@@ -1,7 +1,9 @@
 """Build, load and call the compiled kernel (``_kernel.c``).
 
 One shared library holds both families' training cycles and the Gaussian
-log-likelihood matrix. It is compiled on first use with the system C
+log-likelihood matrix, and exports nothing else: those are the calls a fit
+makes, and a training state's single node update (``TrainState.update``)
+is a one-draw cycle. It is compiled on first use with the system C
 compiler ``cc`` into ``__pycache__`` next to this file, under a name that
 hashes the source and the compile command, so later processes load the
 cached library. Without a working compiler, training and Gaussian scoring
@@ -20,6 +22,7 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,14 +35,14 @@ _KERNEL_OK = -1  # kernel status code; the only other, KERNEL_NOMEM, is a failed
 _I64, _F64, _PTR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 # p, M, X, steps, draws, alphas, radii and the neighbor table's ptr, idx, hops
 _CYCLE_ARGTYPES = [_I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]
-_GAUSS_STATE = [ctypes.c_int, _PTR, _PTR, _PTR, _PTR]  # update_sigma, mus, sigmas, chols, logdets
-_MULTINOM_STATE = [_F64, _PTR, _PTR]  # floor, thetas, logthetas
+# every function the kernel exports, which are exactly the calls a fit makes
 _ENTRY_POINTS = {
-    "gauss_update_node": [_I64, _I64, _PTR, _F64, *_GAUSS_STATE],
-    "gauss_train_cycle": [*_CYCLE_ARGTYPES, _F64, *_GAUSS_STATE, _PTR],
+    # ..., plog2pi, update_sigma, mus, sigmas, chols, logdets, winners
+    "gauss_train_cycle": [*_CYCLE_ARGTYPES, _F64, ctypes.c_int, _PTR, _PTR, _PTR, _PTR, _PTR],
+    # p, M, n, X, mus, chols, consts, out
     "gauss_loglik_matrix": [_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR],
-    "multinom_update_node": [_I64, _I64, _PTR, _F64, *_MULTINOM_STATE],
-    "multinom_train_cycle": [*_CYCLE_ARGTYPES, _PTR, *_MULTINOM_STATE, _PTR],
+    # ..., coef, floor, thetas, logthetas, winners
+    "multinom_train_cycle": [*_CYCLE_ARGTYPES, _PTR, _F64, _PTR, _PTR, _PTR],
 }
 _lib = None  # the kernel, loaded by its first use
 
@@ -108,6 +111,35 @@ def buffer(a: np.ndarray, dtype, shape: tuple, out: bool = False) -> int:
             f"got {a.dtype} of shape {a.shape}"
         )
     return a.ctypes.data
+
+
+class NeighborTable(NamedTuple):
+    """CSR table of every node's reachable nodes, itself included.
+
+    Row k (the k-th smallest live id) is ``idx[ptr[k]:ptr[k + 1]]``, indices
+    in the same order, sorted by (hop distance, index); ``hops`` holds the
+    matching hop distances.
+    """
+
+    ptr: np.ndarray
+    idx: np.ndarray
+    hops: np.ndarray
+
+
+class TrainState:
+    """Base of both families' training states, which stack ``len(self)``
+    nodes and train a whole cycle in one kernel call (``run``)."""
+
+    def update(self, k: int, x: np.ndarray, a: float):
+        """Move node k toward the sample x at rate a: a one-draw ``run`` at
+        radius 0 whose neighbor table sends every winner to node k."""
+        M = len(self)
+        if not 0 <= k < M:
+            raise IndexError(f"node index {k} out of range for {M} nodes")
+        to_k = NeighborTable(
+            np.arange(M + 1, dtype=np.int64), np.full(M, k, dtype=np.int64), np.zeros(M, dtype=np.int64)
+        )
+        self.run(np.reshape(x, (1, -1)), np.zeros(1, dtype=np.int64), np.array([a], dtype=float), np.zeros(1), to_k)
 
 
 def cycle_args(X, draws, alphas, radii, neighbors, M: int, p: int) -> tuple[np.ndarray, tuple]:

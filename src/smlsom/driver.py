@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +72,8 @@ class FitResult:
     params: dict
     assignment: Assignment
     mdl: MdlScore
-    trace: list[CycleRecord] = field(default_factory=list)
-    config: FitConfig | None = None
+    trace: list[CycleRecord]
+    config: FitConfig
 
     @property
     def n_clusters(self) -> int:

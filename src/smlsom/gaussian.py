@@ -13,7 +13,8 @@ depends on its row and node alone: a slice of the cycle's matrix, even of
 one row, is bitwise the rows of the slice scored alone.
 
 Training runs in the same kernel: one call trains a whole cycle, winner
-search and neighbor updates included. The training state stacks each
+search and neighbor updates included; a single node update (``update``) is
+a one-draw cycle. The training state stacks each
 node's mean, covariance, Cholesky factor and log-determinant, starting from
 ``GaussParams``' own, and scores a drawn row by the same forward
 substitution as the matrix, so a step's score is bitwise the matrix entry
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernel import buffer, check_status, cycle_args, kernel
+from ._kernel import TrainState, buffer, check_status, cycle_args, kernel
 from .errors import SingularModelError
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -189,13 +190,13 @@ def gauss_df(p: int) -> int:
     return p + p * (p + 1) // 2
 
 
-class _GaussTrainState:
+class _GaussTrainState(TrainState):
     """Stacked node parameters for training, updated in place by the kernel.
 
     Holds means, covariances, lower Cholesky factors and log-determinants
     for every node, in the order of the parameter list it was built from.
-    ``run`` trains a whole cycle in one kernel call; ``update`` applies one
-    node update through the same kernel routine.
+    ``run`` trains a whole cycle in one kernel call; ``update`` moves one
+    node as a one-draw cycle (see ``TrainState``).
     """
 
     def __init__(self, params_list: list[GaussParams], update_sigma: bool = True):
@@ -206,24 +207,8 @@ class _GaussTrainState:
         self.chols = np.stack([t._chol for t in params_list])
         self.logdets = np.array([t.log_det for t in params_list])
 
-    def _state_args(self) -> tuple:
-        """Kernel arguments shared by both entry points, checked."""
-        M, p = self.mus.shape
-        return (
-            int(self.update_sigma),
-            buffer(self.mus, np.float64, (M, p), out=True),
-            buffer(self.sigmas, np.float64, (M, p, p), out=True),
-            buffer(self.chols, np.float64, (M, p, p), out=True),
-            buffer(self.logdets, np.float64, (M,), out=True),
-        )
-
-    def update(self, k: int, x: np.ndarray, a: float):
-        """Move node k toward the sample x at rate a."""
-        M, p = self.mus.shape
-        if not 0 <= k < M:
-            raise IndexError(f"node index {k} out of range for {M} nodes")
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        check_status(self._lib.gauss_update_node(p, int(k), buffer(x, np.float64, (p,)), a, *self._state_args()))
+    def __len__(self) -> int:
+        return len(self.mus)
 
     def run(self, X, draws, alphas, radii, neighbors) -> np.ndarray:
         """Train one cycle: step t draws row ``draws[t]`` of X and updates
@@ -238,7 +223,11 @@ class _GaussTrainState:
             self._lib.gauss_train_cycle(
                 *args,
                 p * _LOG_2PI,
-                *self._state_args(),
+                int(self.update_sigma),
+                buffer(self.mus, np.float64, (M, p), out=True),
+                buffer(self.sigmas, np.float64, (M, p, p), out=True),
+                buffer(self.chols, np.float64, (M, p, p), out=True),
+                buffer(self.logdets, np.float64, (M,), out=True),
                 buffer(winners, np.int64, winners.shape, out=True),
             )
         )

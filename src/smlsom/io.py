@@ -110,20 +110,18 @@ def save_model(path, result: FitResult):
     config = result.config
     doc = {
         "format_version": FORMAT_VERSION,
-        "family": config.family if config else "gaussian",
+        "family": config.family,
         "nodes": [_node_record(m, result.params[m]) for m in sorted(result.params)],
         "edges": [list(e) for e in sorted(result.graph.edges)],
         "fit": {
-            "beta": config.beta if config else None,
+            "beta": config.beta,
             "schedule": {
                 "alpha0": config.alpha0,
                 "alpha1": config.alpha1,
                 "r1": config.r1,
                 "tau_max": config.tau_max,
-            }
-            if config
-            else None,
-            "seed": config.seed if config else None,
+            },
+            "seed": config.seed,
             "mdl": {
                 "neg_loglik": result.mdl.neg_loglik,
                 "complexity": result.mdl.complexity,
@@ -154,6 +152,8 @@ def load_model(path) -> tuple[str, dict, MapGraph, dict]:
         raise DataError(f"{path}: malformed model: {e!r}") from e
     if not params:
         raise DataError(f"{path}: model has no nodes")
+    if len({theta.p for theta in params.values()}) > 1:
+        raise DataError(f"{path}: malformed model: its nodes differ in dimension")
     return family, params, graph, doc.get("fit", {})
 
 

@@ -7,10 +7,9 @@ NodeParamsTable); all functions here are generic over the model family.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
+from ._kernel import NeighborTable
 from .core import Assignment, Dataset, MapGraph, Schedule, schedule_alphas, schedule_radii
 
 
@@ -41,19 +40,6 @@ def classify(data: Dataset, params: dict, family) -> Assignment:
     return Assignment(ml_winners(loglik_matrix(data, params, family), sorted(params)))
 
 
-class NeighborTable(NamedTuple):
-    """CSR table of every node's reachable nodes, itself included.
-
-    Row k (the k-th smallest live id) is ``idx[ptr[k]:ptr[k + 1]]``, indices
-    in the same order, sorted by (hop distance, index); ``hops`` holds the
-    matching hop distances.
-    """
-
-    ptr: np.ndarray
-    idx: np.ndarray
-    hops: np.ndarray
-
-
 def neighbor_table(graph: MapGraph, ids: list) -> NeighborTable:
     index_of = {m: k for k, m in enumerate(ids)}
     hops = graph.all_pairs_hops()
@@ -71,7 +57,6 @@ def mlsom_train(
     sched: Schedule,
     rng: np.random.Generator,
     family,
-    winner_log: list | None = None,
 ) -> dict:
     """Run tau_max stochastic steps and return the updated parameter table.
 
@@ -90,9 +75,5 @@ def mlsom_train(
     state = family.make_state([params[m] for m in ids])
     # one vector draw gives the same stream as tau_max scalar draws
     draws = rng.integers(data.n, size=sched.tau_max)
-    winners = state.run(
-        data.values, draws, schedule_alphas(sched), schedule_radii(sched), neighbor_table(graph, ids)
-    )
-    if winner_log is not None:
-        winner_log.extend(np.asarray(ids)[winners].tolist())
+    state.run(data.values, draws, schedule_alphas(sched), schedule_radii(sched), neighbor_table(graph, ids))
     return dict(zip(ids, state.export()))

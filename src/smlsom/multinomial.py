@@ -10,7 +10,8 @@ and ``mdl_score``, slices that one vector. It is element-wise, so a slice is
 bitwise the coefficient of the sliced rows.
 
 Training runs in the compiled kernel (``_kernel.c``, built and loaded by
-``_kernel``): one call trains a whole cycle. The kernel scores each drawn
+``_kernel``): one call trains a whole cycle, and a single node update
+(``update``) is a one-draw cycle. The kernel scores each drawn
 row under every node, moves the winner's neighbors toward the
 row's relative frequencies, floors and renormalizes them, and keeps their
 logs current. A drawn row's score log(theta) . x is one running sum in
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._kernel import buffer, check_status, cycle_args, kernel
+from ._kernel import TrainState, buffer, check_status, cycle_args, kernel
 
 THETA_FLOOR = 1e-10
 
@@ -136,11 +137,12 @@ def multinom_df(p: int) -> int:
     return p - 1
 
 
-class _MultinomTrainState:
+class _MultinomTrainState(TrainState):
     """Stacked probabilities and their logs, updated in place by the kernel.
 
-    ``run`` trains a whole cycle in one kernel call; ``update`` applies one
-    node update through the same kernel routine.
+    ``run`` trains a whole cycle in one kernel call; ``update`` moves one
+    node as a one-draw cycle (see ``TrainState``), and an all-zero row
+    leaves it as it is.
     """
 
     def __init__(self, params_list: list[MultinomParams], log_coef):
@@ -149,22 +151,8 @@ class _MultinomTrainState:
         self.thetas = np.stack([t.theta for t in params_list])
         self.logthetas = np.log(self.thetas)
 
-    def _state_args(self) -> tuple:
-        M, p = self.thetas.shape
-        return (
-            2.0 * THETA_FLOOR,
-            buffer(self.thetas, np.float64, (M, p), out=True),
-            buffer(self.logthetas, np.float64, (M, p), out=True),
-        )
-
-    def update(self, k: int, x: np.ndarray, a: float):
-        """Move node k toward the count row x at rate a (an all-zero row
-        leaves it as it is)."""
-        M, p = self.thetas.shape
-        if not 0 <= k < M:
-            raise IndexError(f"node index {k} out of range for {M} nodes")
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        check_status(self._lib.multinom_update_node(p, int(k), buffer(x, np.float64, (p,)), a, *self._state_args()))
+    def __len__(self) -> int:
+        return len(self.thetas)
 
     def run(self, X, draws, alphas, radii, neighbors) -> np.ndarray:
         """Train one cycle (see ``smlsom.mlsom_train``); returns each step's
@@ -177,7 +165,9 @@ class _MultinomTrainState:
             self._lib.multinom_train_cycle(
                 *args,
                 buffer(coef, np.float64, winners.shape),
-                *self._state_args(),
+                2.0 * THETA_FLOOR,
+                buffer(self.thetas, np.float64, (M, p), out=True),
+                buffer(self.logthetas, np.float64, (M, p), out=True),
                 buffer(winners, np.int64, winners.shape, out=True),
             )
         )

@@ -450,3 +450,25 @@ class OracleMultinomialFamily(_OracleFamily):
         from smlsom import MultinomialFamily
 
         super().__init__(MultinomialFamily(), OracleMultinomTrainState)
+
+
+class RecordingFamily(_OracleFamily):
+    """A model family whose training states record, in ``winners``, every
+    winner their ``run`` returns: indices into the sorted live ids of the
+    training call."""
+
+    def __init__(self, inner):
+        self.winners = []
+        super().__init__(inner, self._recording_state)
+
+    def _recording_state(self, params_list):
+        state = self._inner.make_state(params_list)
+        run = state.run
+
+        def recorded_run(*args):
+            winners = run(*args)
+            self.winners.extend(winners.tolist())
+            return winners
+
+        state.run = recorded_run
+        return state

@@ -35,6 +35,7 @@ from smlsom.cli import main as cli_main
 from smlsom.core import Schedule
 from smlsom.io import write_dataset
 from oracles import (
+    RecordingFamily,
     dense_gauss_loglik,
     oracle_alpha,
     oracle_ari,
@@ -138,11 +139,9 @@ def test_criterion_4_kohonen_reduction():
     params = {m: GaussParams(mus0[m], np.eye(3)) for m in range(9)}
     sched = Schedule(r1=2.0, tau_max=1000)
 
-    winners = []
-    mlsom_train(
-        data, g, params, sched, np.random.default_rng(41),
-        GaussianFamily(update_sigma=False), winner_log=winners,
-    )
+    family = RecordingFamily(GaussianFamily(update_sigma=False))
+    mlsom_train(data, g, params, sched, np.random.default_rng(41), family)
+    winners = family.winners  # ids 0-8 are their own indices
 
     # the reference: a plain Euclidean SOM replaying the same sample order
     hops = g.all_pairs_hops()

@@ -156,6 +156,22 @@ class TestScore:
         assert main(["score", "--model", str(model), "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "family, nodes",
+        [
+            ("gaussian", [{"id": 0, "mean": [0.0, 0.0], "cov": np.eye(2).tolist()},
+                          {"id": 1, "mean": [1.0, 1.0, 1.0], "cov": np.eye(3).tolist()}]),
+            ("multinomial", [{"id": 0, "theta": [0.5, 0.5]}, {"id": 1, "theta": [0.2, 0.3, 0.5]}]),
+        ],
+        ids=["gaussian", "multinomial"],
+    )
+    def test_nodes_of_different_dimensions_are_a_data_error(self, tmp_path, capsys, family, nodes):
+        model, data = tmp_path / "model.json", tmp_path / "data.csv"
+        model.write_text(json.dumps({"format_version": 1, "family": family, "nodes": nodes, "edges": [[0, 1]]}))
+        write_dataset(data, np.random.default_rng(2).integers(0, 5, size=(20, 2)).astype(float))
+        assert main(["score", "--model", str(model), "--input", str(data)]) == 2
+        assert "differ in dimension" in capsys.readouterr().err
+
 
 class TestEval:
     def test_perfect_assignment(self, tmp_path, blob_csv, capsys):

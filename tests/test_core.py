@@ -17,7 +17,7 @@ from smlsom import (
 )
 from smlsom.errors import DataError
 
-from oracles import members, oracle_alpha, oracle_radius
+from oracles import RecordingFamily, members, oracle_alpha, oracle_radius
 
 
 class TestLattice:
@@ -103,9 +103,9 @@ def updated_nodes(graph, winner, r1, tau_max):
     params = {m: GaussParams([float(m)], [[1.0]]) for m in ids}
     data = Dataset(np.full((2, 1), float(winner)))
     sched = Schedule(r1=r1, tau_max=tau_max)
-    winners = []
-    out = mlsom_train(data, graph, params, sched, np.random.default_rng(0), GaussianFamily(), winner_log=winners)
-    assert set(winners) == {winner}
+    family = RecordingFamily(GaussianFamily())
+    out = mlsom_train(data, graph, params, sched, np.random.default_rng(0), family)
+    assert {ids[k] for k in family.winners} == {winner}
     return {m for m in ids if not np.array_equal(out[m].sigma, params[m].sigma)}
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import smlsom._kernel as _kernel
 from smlsom import (
+    FitConfig,
     GaussianFamily,
     GaussParams,
     Schedule,
@@ -20,9 +21,11 @@ from smlsom import (
     gauss_df,
     gauss_loglik_rows,
     lattice_graph,
+    load_faithful,
     mdl_score,
     schedule_alphas,
     schedule_radii,
+    smlsom_fit,
 )
 from smlsom._kernel import kernel_path, load_kernel
 from smlsom.core import Assignment, Dataset
@@ -315,8 +318,30 @@ class TestKernelBuild:
         lib = load_kernel(cache_dir=tmp_path)
         (built,) = tmp_path.iterdir()
         assert built.name.startswith("_kernel.")
-        for name in ("gauss_train_cycle", "gauss_update_node", "multinom_train_cycle", "multinom_update_node"):
+        for name in ("gauss_train_cycle", "gauss_loglik_matrix", "multinom_train_cycle"):
             assert getattr(lib, name).restype is ctypes.c_int64
+
+    def test_fits_call_every_entry_point_and_no_other(self, monkeypatch):
+        # the kernel exports only what a fit calls: one small fit per family,
+        # against a spy on the loaded kernel
+        lib, called = _kernel.kernel(), set()
+
+        class Spy:
+            def __getattr__(self, name):
+                fn = getattr(lib, name)
+
+                def call(*args):
+                    called.add(name)
+                    return fn(*args)
+
+                return call
+
+        monkeypatch.setattr(_kernel, "_lib", Spy())
+        smlsom_fit(load_faithful(), FitConfig(rows=2, cols=2, seed=0))
+        rng = np.random.default_rng(0)
+        counts = rng.multinomial(15, rng.dirichlet(np.ones(4)), size=100).astype(float)
+        smlsom_fit(Dataset(counts), FitConfig(family="multinomial", rows=2, cols=2, seed=0))
+        assert called == set(_kernel._ENTRY_POINTS)
 
     def test_name_hashes_source_and_command(self, tmp_path):
         source = _kernel._KERNEL_SOURCE.read_bytes()

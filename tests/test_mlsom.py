@@ -19,6 +19,7 @@ from smlsom.mlsom import ml_winners
 from oracles import (
     OracleGaussianFamily,
     OracleMultinomialFamily,
+    RecordingFamily,
     loglik_rows,
     moment_step,
     oracle_alpha,
@@ -89,11 +90,9 @@ class TestTrain:
         }
         # r1 = 0.5 keeps the raw radius below 1 for every tau -> clamp to 0.5
         sched = Schedule(r1=0.5, tau_max=1)
-        winners = []
-        out = mlsom_train(
-            data, g, params, sched, np.random.default_rng(2), FAMILY, winner_log=winners
-        )
-        (c,) = winners
+        family = RecordingFamily(FAMILY)
+        out = mlsom_train(data, g, params, sched, np.random.default_rng(2), family)
+        (c,) = family.winners  # ids 0-3 are their own indices
         for m in range(4):
             changed = not np.array_equal(out[m].mu, params[m].mu)
             assert changed == (m == c)
@@ -147,7 +146,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("update_sigma", [True, False])
     def test_matches_the_numpy_training_state(self, update_sigma):
-        # ids with gaps, as after deletions: winners are logged as ids
+        # ids with gaps, as after deletions
         rng = np.random.default_rng(14)
         data = Dataset(rng.normal(size=(300, 3)) * [1.0, 2.0, 0.5])
         g = lattice_graph(3, 3, "hexagonal")
@@ -156,13 +155,12 @@ class TestTrain:
         params = {m: GaussParams(rng.normal(size=3), random_pd_matrix(rng, 3)) for m in g.nodes}
         sched = Schedule(r1=2.0, tau_max=600)
         runs = []
-        for family in (GaussianFamily(update_sigma), OracleGaussianFamily(update_sigma)):
-            winners = []
-            out = mlsom_train(data, g, params, sched, np.random.default_rng(9), family, winner_log=winners)
-            runs.append((winners, out))
+        for inner in (GaussianFamily(update_sigma), OracleGaussianFamily(update_sigma)):
+            family = RecordingFamily(inner)
+            out = mlsom_train(data, g, params, sched, np.random.default_rng(9), family)
+            runs.append((family.winners, out))
         (w1, out1), (w2, out2) = runs
-        assert w1 == w2 and set(w1) <= set(g.nodes) and len(set(w1)) > 1
-        assert all(type(m) is int for m in w1)
+        assert w1 == w2 and len(set(w1)) > 1
         for m in g.nodes:
             np.testing.assert_array_equal(out1[m].mu, out2[m].mu)
             np.testing.assert_array_equal(out1[m].sigma, out2[m].sigma)
@@ -179,13 +177,12 @@ class TestTrain:
         params = {m: MultinomParams(rng.dirichlet(np.ones(5))) for m in g.nodes}
         sched = Schedule(r1=2.0, tau_max=600)
         runs = []
-        for family in (MultinomialFamily(), OracleMultinomialFamily()):
-            winners = []
-            out = mlsom_train(data, g, params, sched, np.random.default_rng(9), family, winner_log=winners)
-            runs.append((winners, out))
+        for inner in (MultinomialFamily(), OracleMultinomialFamily()):
+            family = RecordingFamily(inner)
+            out = mlsom_train(data, g, params, sched, np.random.default_rng(9), family)
+            runs.append((family.winners, out))
         (w1, out1), (w2, out2) = runs
-        assert w1 == w2 and set(w1) <= set(g.nodes) and len(set(w1)) > 1
-        assert all(type(m) is int for m in w1)
+        assert w1 == w2 and len(set(w1)) > 1
         for m in g.nodes:
             np.testing.assert_array_equal(out1[m].theta, out2[m].theta)
 
@@ -221,11 +218,9 @@ class TestKohonenReduction:
         params = {m: GaussParams(mus0[m], np.eye(3)) for m in range(9)}
         sched = Schedule(r1=2.0, tau_max=500)
 
-        winners = []
-        mlsom_train(
-            data, g, params, sched, np.random.default_rng(7),
-            GaussianFamily(update_sigma=False), winner_log=winners,
-        )
+        family = RecordingFamily(GaussianFamily(update_sigma=False))
+        mlsom_train(data, g, params, sched, np.random.default_rng(7), family)
+        winners = family.winners  # ids 0-8 are their own indices
 
         # plain Euclidean SOM replaying the identical sample order
         hops = g.all_pairs_hops()
