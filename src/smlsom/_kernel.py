@@ -2,16 +2,15 @@
 
 One shared library holds both families' training cycles and the Gaussian
 log-likelihood matrix, and exports nothing else: those are the calls a fit
-makes, and a training state's single node update (``TrainState.update``)
-is a one-draw cycle. It is compiled on first use with the system C
-compiler ``cc`` into ``__pycache__`` next to this file, under a name that
-hashes the source and the compile command, so later processes load the
-cached library. Without a working compiler, training and Gaussian scoring
-raise ``SmlsomError``; there is no numpy or scipy fallback.
+makes. It is compiled on first use with the system C compiler ``cc`` into
+``__pycache__`` next to this file, under a name that hashes the source and
+the compile command, so later processes load the cached library. Without a
+working compiler, training and Gaussian scoring raise ``SmlsomError``;
+there is no numpy or scipy fallback.
 
 The kernel reads and writes numpy buffers through bare pointers, so every
 array handed to it goes through ``buffer``, and a cycle's draws and
-neighbor table through ``cycle_args``, which check what ctypes cannot.
+neighbor table through ``train_cycle``, which check what ctypes cannot.
 """
 
 from __future__ import annotations
@@ -126,29 +125,10 @@ class NeighborTable(NamedTuple):
     hops: np.ndarray
 
 
-class TrainState:
-    """Base of both families' training states, which stack ``len(self)``
-    nodes and train a whole cycle in one kernel call (``run``)."""
-
-    def update(self, k: int, x: np.ndarray, a: float):
-        """Move node k toward the sample x at rate a: a one-draw ``run`` at
-        radius 0 whose neighbor table sends every winner to node k."""
-        M = len(self)
-        if not 0 <= k < M:
-            raise IndexError(f"node index {k} out of range for {M} nodes")
-        to_k = NeighborTable(
-            np.arange(M + 1, dtype=np.int64), np.full(M, k, dtype=np.int64), np.zeros(M, dtype=np.int64)
-        )
-        self.run(np.reshape(x, (1, -1)), np.zeros(1, dtype=np.int64), np.array([a], dtype=float), np.zeros(1), to_k)
-
-
-def cycle_args(X, draws, alphas, radii, neighbors, M: int, p: int) -> tuple[np.ndarray, tuple]:
-    """Check one training cycle's inputs for M nodes in p dimensions.
-
-    Returns X as the kernel reads it, which the caller keeps alive during the
-    call, and the leading arguments of both ``*_train_cycle`` entry points:
-    p, M, X, steps, draws, alphas, radii and the neighbor table.
-    """
+def train_cycle(entry: str, X, draws, alphas, radii, neighbors, M: int, p: int, *args) -> np.ndarray:
+    """Check one training cycle's inputs for M nodes in p dimensions and run
+    the kernel's ``entry`` on them: p, M, X, steps, draws, alphas, radii, the
+    neighbor table, the family's ``args``, then the winner rows it returns."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     n, steps = X.shape[0], len(draws)
     if X.shape != (n, p) or draws.size and not 0 <= draws.min() <= draws.max() < n:
@@ -158,18 +138,24 @@ def cycle_args(X, draws, alphas, radii, neighbors, M: int, p: int) -> tuple[np.n
         raise ValueError("malformed neighbor table")
     if n_links and not 0 <= neighbors.idx.min() <= neighbors.idx.max() < M:
         raise ValueError("neighbor index out of range")
-    return X, (
-        p,
-        M,
-        buffer(X, np.float64, (n, p)),
-        steps,
-        buffer(draws, np.int64, (steps,)),
-        buffer(alphas, np.float64, (steps,)),
-        buffer(radii, np.float64, (steps,)),
-        buffer(neighbors.ptr, np.int64, (M + 1,)),
-        buffer(neighbors.idx, np.int64, (n_links,)),
-        buffer(neighbors.hops, np.int64, (n_links,)),
+    winners = np.empty(steps, dtype=np.int64)
+    check_status(
+        getattr(kernel(), entry)(
+            p,
+            M,
+            buffer(X, np.float64, (n, p)),
+            steps,
+            buffer(draws, np.int64, (steps,)),
+            buffer(alphas, np.float64, (steps,)),
+            buffer(radii, np.float64, (steps,)),
+            buffer(neighbors.ptr, np.int64, (M + 1,)),
+            buffer(neighbors.idx, np.int64, (n_links,)),
+            buffer(neighbors.hops, np.int64, (n_links,)),
+            *args,
+            buffer(winners, np.int64, (steps,), out=True),
+        )
     )
+    return winners
 
 
 def check_status(status: int):

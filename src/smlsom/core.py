@@ -1,4 +1,4 @@
-"""Shared domain types: dataset container, map graph, training schedules."""
+"""Shared domain types: dataset container, map graph, schedules, node tables."""
 
 from __future__ import annotations
 
@@ -122,11 +122,6 @@ class MapGraph:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MapGraph):
-            return NotImplemented
-        return self._nodes == other._nodes
-
     def hops_from(self, c: int) -> dict[int, int]:
         """BFS hop distances from node c; unreachable nodes are absent."""
         dist = {c: 0}
@@ -208,6 +203,47 @@ def schedule_radii(s: Schedule) -> np.ndarray:
     clamped to 0.5 below 1 (the winner alone updates in the hard phase)."""
     r = s.r1 - 2.0 * s.r1 * np.arange(1, s.tau_max + 1) / s.tau_max
     return np.where(r >= 1, r, 0.5)
+
+
+class NodeTable:
+    """A map's nodes: the live ids in ascending order and, per parameter
+    named in ``FIELDS``, one array stacking every node's value, row k for
+    ``ids[k]``. Each family's subclass maps a single-node value
+    (``GaussParams``, ``MultinomParams``) to a row (``row``) and back
+    (``node``); a fit holds single-node values only at its edges."""
+
+    FIELDS: tuple[str, ...] = ()
+
+    def __init__(self, ids, *arrays):
+        self.ids = list(ids)
+        for name, a in zip(self.FIELDS, arrays, strict=True):
+            setattr(self, name, a)
+
+    @classmethod
+    def of(cls, params: dict):
+        """The table of single-node values keyed by id."""
+        if not params:
+            raise ValueError("empty node table")
+        ids = sorted(params)
+        columns = zip(*(cls.row(params[m]) for m in ids))
+        return cls(ids, *(np.array(c) for c in columns))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows: list, fits=()):
+        """A table of this one's ``rows``, in order, where the j-th is
+        replaced by the one row of ``fits[j]`` if that is a table (not None)."""
+        out = type(self)([self.ids[k] for k in rows], *(getattr(self, f)[rows] for f in self.FIELDS))
+        for j, fit in enumerate(fits):
+            if fit is not None:
+                for f in self.FIELDS:
+                    getattr(out, f)[j] = getattr(fit, f)[0]
+        return out
+
+    def nodes(self) -> dict:
+        """Single-node values keyed by id."""
+        return {m: self.node(k) for k, m in enumerate(self.ids)}
 
 
 @dataclass(frozen=True)

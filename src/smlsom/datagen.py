@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CalibrationError
-from .gaussian import GaussParams, gauss_loglik_matrix
+from .gaussian import GaussParams, GaussTable, gauss_loglik_matrix
 
 STRUCTURES = (
     "spherical-homogeneous",
@@ -96,7 +96,7 @@ def overlap_mc(
     if n_mc < 1000:
         raise ValueError("n_mc must be >= 1000")
     M = spec.n_components
-    comps = [GaussParams(spec.mus[m], spec.sigmas[m]) for m in range(M)]
+    comps = GaussTable.of({m: GaussParams(spec.mus[m], spec.sigmas[m]) for m in range(M)})
     log_pi = np.log(spec.pi)
     omega_cond = np.zeros((M, M))
     for m in range(M):

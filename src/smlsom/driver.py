@@ -9,9 +9,9 @@ import numpy as np
 
 from .core import Assignment, Dataset, MapGraph, Schedule, lattice_graph
 from .errors import DataError
-from .gaussian import GaussianFamily, GaussParams
+from .gaussian import GaussianFamily, GaussParams, GaussTable
 from .mlsom import classify, loglik_matrix, ml_winners, mlsom_train
-from .multinomial import MultinomialFamily, MultinomParams
+from .multinomial import MultinomialFamily, MultinomParams, MultinomTable
 from .structure import MdlScore, cut_weak_links, mdl_score, try_delete_node
 
 FAMILIES = {"gaussian": GaussianFamily, "multinomial": MultinomialFamily}
@@ -69,7 +69,7 @@ class CycleRecord:
 @dataclass
 class FitResult:
     graph: MapGraph
-    params: dict
+    params: dict  # single-node values keyed by id
     assignment: Assignment
     mdl: MdlScore
     trace: list[CycleRecord]
@@ -112,8 +112,8 @@ def pca_init(data: Dataset, rows: int, cols: int) -> list[np.ndarray]:
     return mus
 
 
-def init_params(data: Dataset, config: FitConfig, rng: np.random.Generator) -> dict:
-    """Initial node parameter table.
+def init_params(data: Dataset, config: FitConfig, rng: np.random.Generator):
+    """Initial node table.
 
     Gaussian: means from the PCA grid (or random data rows), identity
     covariances. Multinomial: uniform random draws on the simplex.
@@ -128,10 +128,10 @@ def init_params(data: Dataset, config: FitConfig, rng: np.random.Generator) -> d
             idx = rng.choice(data.n, size=M, replace=False)
             mus = [data.values[i] for i in idx]
         eye = np.eye(data.p)
-        return {m: GaussParams(mus[m], eye) for m in range(M)}
+        return GaussTable.of({m: GaussParams(mus[m], eye) for m in range(M)})
     if data.p < 2:
         raise DataError("multinomial family needs at least 2 categories")
-    return {m: MultinomParams(rng.dirichlet(np.ones(data.p))) for m in range(M)}
+    return MultinomTable.of({m: MultinomParams(rng.dirichlet(np.ones(data.p))) for m in range(M)})
 
 
 def smlsom_fit(data: Dataset, config: FitConfig, family=None) -> FitResult:
@@ -143,23 +143,18 @@ def smlsom_fit(data: Dataset, config: FitConfig, family=None) -> FitResult:
 
     rng = np.random.default_rng(config.seed)
     graph = lattice_graph(config.rows, config.cols, config.lattice)
-    params = init_params(data, config, rng)
+    table = init_params(data, config, rng)
     sched = config.schedule(data.n)
 
     trace: list[CycleRecord] = []
     max_cycles = (config.rows * config.cols) ** 2
     for cycle in range(1, max_cycles + 1):
-        params = mlsom_train(data, graph, params, sched, rng, family)
-        ll = loglik_matrix(data, params, family)
-        assignment = Assignment(ml_winners(ll, sorted(params)))
-        removed = cut_weak_links(graph, data, assignment, params, config.beta, family, ll)
-        result = try_delete_node(data, graph, assignment, params, family, ll)
-        graph, params, assignment, score = (
-            result.graph,
-            result.params,
-            result.assignment,
-            result.score,
-        )
+        table = mlsom_train(data, graph, table, sched, rng, family)
+        ll = loglik_matrix(data, table, family)
+        assignment = Assignment(ml_winners(ll, table.ids))
+        removed = cut_weak_links(graph, data, assignment, table, config.beta, family, ll)
+        result = try_delete_node(data, graph, assignment, table, family, ll)
+        graph, table, assignment, score = result.graph, result.params, result.assignment, result.score
         trace.append(
             CycleRecord(
                 cycle=cycle,
@@ -174,9 +169,9 @@ def smlsom_fit(data: Dataset, config: FitConfig, family=None) -> FitResult:
         if not removed and result.deleted is None:
             break  # converged: this cycle's assignment and score describe the final map
     else:
-        assignment = classify(data, params, family)
-        score = mdl_score(data, assignment, params, family)
-    return FitResult(graph, params, assignment, score, trace, config)
+        assignment = classify(data, table, family)
+        score = mdl_score(data, assignment, table, family)
+    return FitResult(graph, table.nodes(), assignment, score, trace, config)
 
 
 def smlsom_fit_restarts(

@@ -1,8 +1,9 @@
 """Full-covariance multivariate Gaussian node model.
 
-Each node keeps the Cholesky factor L of its covariance and its
-log-determinant from construction; covariances that fail to factorize get
-an escalating diagonal jitter before a singular-model error is raised.
+A fit holds its nodes in one ``GaussTable``: means, covariances, Cholesky
+factors L and log-determinants, stacked. ``GaussParams`` is a single node;
+a covariance that fails to factorize gets an escalating diagonal jitter
+before a singular-model error is raised.
 
 Scoring runs in the compiled kernel (``_kernel.c``, built and loaded by
 ``_kernel``): one call writes the log density of every row of X under
@@ -12,24 +13,23 @@ forward substitution and the sum of squares follow the kernel's own order
 depends on its row and node alone: a slice of the cycle's matrix, even of
 one row, is bitwise the rows of the slice scored alone.
 
-Training runs in the same kernel: one call trains a whole cycle, winner
-search and neighbor updates included; a single node update (``update``) is
-a one-draw cycle. The training state stacks each
-node's mean, covariance, Cholesky factor and log-determinant, starting from
-``GaussParams``' own, and scores a drawn row by the same forward
-substitution as the matrix, so a step's score is bitwise the matrix entry
-for the same parameters. A step moves mean and covariance element-wise as
-mu + a d and Sigma + a((1-a) d d^T - Sigma), for d = x - mu, which keeps a
-covariance bitwise symmetric. Since Sigma' = (1-a)(Sigma + a d d^T), the
-factor follows by a rank-one Cholesky update and a sqrt(1-a) scale, and the
+Training runs in the same kernel: one call trains a whole cycle on the
+table in place, winner search and neighbor updates included, and scores a
+drawn row by the same forward substitution as the matrix, so a step's
+score is bitwise the matrix entry for the same parameters. A step moves
+mean and covariance element-wise as mu + a d and
+Sigma + a((1-a) d d^T - Sigma), for d = x - mu, which keeps a covariance
+bitwise symmetric. Since Sigma' = (1-a)(Sigma + a d d^T), the factor
+follows by a rank-one Cholesky update and a sqrt(1-a) scale, and the
 log-determinant by the matrix determinant lemma from the |w|^2 that the
 winner search has already computed; nothing is factorized during a cycle.
 Without a C compiler, scoring and training raise ``SmlsomError``.
 
 Some steps of a fit still go through numpy's BLAS and LAPACK, whose
 rounding follows the host's CPU: ``gauss_batch``'s ``X.T @ X``, the
-Cholesky factor of ``GaussParams`` (``np.linalg.cholesky``), and the
-eigenvalues of ``gauss_batch_neg_loglik`` (``eigvalsh``).
+Cholesky factors of ``GaussParams`` and ``GaussTable.refresh``
+(``np.linalg.cholesky``), and the eigenvalues of
+``gauss_batch_neg_loglik`` (``eigvalsh``).
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernel import TrainState, buffer, check_status, cycle_args, kernel
+from ._kernel import buffer, check_status, kernel, train_cycle
+from .core import NodeTable
 from .errors import SingularModelError
 
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -98,15 +99,38 @@ class GaussParams:
         return self.mu.size
 
 
-def gauss_loglik_matrix(X: np.ndarray, thetas: list[GaussParams]) -> np.ndarray:
+class GaussTable(NodeTable):
+    """Gaussian nodes: means (M x p), covariances and their lower Cholesky
+    factors (M x p x p), and log-determinants (M)."""
+
+    FIELDS = ("mus", "sigmas", "chols", "logdets")
+
+    @staticmethod
+    def row(theta: GaussParams) -> tuple:
+        return theta.mu, theta.sigma, theta._chol, theta.log_det
+
+    def node(self, k: int) -> GaussParams:
+        return GaussParams(self.mus[k].copy(), self.sigmas[k])
+
+    def refresh(self):
+        """Refactor every covariance after training, as ``GaussParams``
+        would, jitter included."""
+        try:
+            self.chols = np.linalg.cholesky(self.sigmas)
+        except np.linalg.LinAlgError:
+            for k, sigma in enumerate(self.sigmas):
+                self.sigmas[k], self.chols[k] = _factorize(sigma)
+        self.logdets = 2.0 * np.log(np.diagonal(self.chols, axis1=1, axis2=2)).sum(axis=1)
+
+
+def gauss_loglik_matrix(X: np.ndarray, table: GaussTable, rows: slice = slice(None)) -> np.ndarray:
     """M x n matrix of the log density of every row of X (n x p) under each
-    of the M nodes, from one kernel call (see the module docstring)."""
+    of the M nodes in the table's ``rows``, from one kernel call (see the
+    module docstring)."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    M, p = len(thetas), thetas[0].p
-    n = X.shape[0]
-    mus = np.stack([t.mu for t in thetas])
-    chols = np.stack([t._chol for t in thetas])
-    consts = np.array([p * _LOG_2PI + t.log_det for t in thetas])
+    mus, chols = table.mus[rows], table.chols[rows]
+    (M, p), n = mus.shape, X.shape[0]
+    consts = p * _LOG_2PI + table.logdets[rows]
     out = np.empty((M, n))
     check_status(
         kernel().gauss_loglik_matrix(
@@ -125,7 +149,7 @@ def gauss_loglik_matrix(X: np.ndarray, thetas: list[GaussParams]) -> np.ndarray:
 
 def gauss_loglik_rows(X: np.ndarray, theta: GaussParams) -> np.ndarray:
     """Log density of every row of X under one node."""
-    return gauss_loglik_matrix(X, [theta])[0]
+    return gauss_loglik_matrix(X, GaussTable.of({0: theta}))[0]
 
 
 def gauss_batch(samples: np.ndarray) -> GaussParams:
@@ -190,57 +214,16 @@ def gauss_df(p: int) -> int:
     return p + p * (p + 1) // 2
 
 
-class _GaussTrainState(TrainState):
-    """Stacked node parameters for training, updated in place by the kernel.
-
-    Holds means, covariances, lower Cholesky factors and log-determinants
-    for every node, in the order of the parameter list it was built from.
-    ``run`` trains a whole cycle in one kernel call; ``update`` moves one
-    node as a one-draw cycle (see ``TrainState``).
-    """
-
-    def __init__(self, params_list: list[GaussParams], update_sigma: bool = True):
-        self._lib = kernel()
-        self.update_sigma = update_sigma
-        self.mus = np.stack([t.mu for t in params_list])
-        self.sigmas = np.stack([t.sigma for t in params_list])
-        self.chols = np.stack([t._chol for t in params_list])
-        self.logdets = np.array([t.log_det for t in params_list])
-
-    def __len__(self) -> int:
-        return len(self.mus)
-
-    def run(self, X, draws, alphas, radii, neighbors) -> np.ndarray:
-        """Train one cycle: step t draws row ``draws[t]`` of X and updates
-        the winner's neighbors within ``radii[t]`` at rate ``alphas[t]``.
-        ``neighbors`` is a CSR table (``ptr``, ``idx``, ``hops``) of each
-        node's neighbors sorted by (hops, index). Returns each step's winner
-        index."""
-        M, p = self.mus.shape
-        X, args = cycle_args(X, draws, alphas, radii, neighbors, M, p)
-        winners = np.empty(len(draws), dtype=np.int64)
-        check_status(
-            self._lib.gauss_train_cycle(
-                *args,
-                p * _LOG_2PI,
-                int(self.update_sigma),
-                buffer(self.mus, np.float64, (M, p), out=True),
-                buffer(self.sigmas, np.float64, (M, p, p), out=True),
-                buffer(self.chols, np.float64, (M, p, p), out=True),
-                buffer(self.logdets, np.float64, (M,), out=True),
-                buffer(winners, np.int64, winners.shape, out=True),
-            )
-        )
-        return winners
-
-    def export(self) -> list[GaussParams]:
-        return [GaussParams(self.mus[k], self.sigmas[k]) for k in range(len(self.mus))]
-
-
 class GaussianFamily:
     """Family adapter used by the training loop, structure updates and driver."""
 
     name = "gaussian"
+    table = GaussTable
+    loglik_matrix = staticmethod(gauss_loglik_matrix)
+    batch = staticmethod(gauss_batch)
+    batch_stats = staticmethod(gauss_batch_stats)
+    batch_neg_loglik = staticmethod(gauss_batch_neg_loglik)
+    df = staticmethod(gauss_df)
 
     def __init__(self, update_sigma: bool = True):
         self.update_sigma = update_sigma
@@ -248,31 +231,29 @@ class GaussianFamily:
     def validate(self, dataset):
         pass  # any finite real matrix is acceptable
 
-    def loglik_members(self, X, idx, theta: GaussParams, ll_row=None) -> np.ndarray:
-        """``gauss_loglik_rows(X[idx], theta)``, bitwise; read from
-        ``ll_row``, theta's row of the cycle's matrix, when given."""
+    def train(self, table: GaussTable, X, draws, alphas, radii, neighbors) -> np.ndarray:
+        """Train one cycle on ``table`` in place: step t draws row
+        ``draws[t]`` of X and updates the winner's ``neighbors`` within
+        ``radii[t]`` at rate ``alphas[t]``. Returns each step's winner row."""
+        M, p = table.mus.shape
+        return train_cycle(
+            "gauss_train_cycle",
+            X, draws, alphas, radii, neighbors, M, p,
+            p * _LOG_2PI,
+            int(self.update_sigma),
+            buffer(table.mus, np.float64, (M, p), out=True),
+            buffer(table.sigmas, np.float64, (M, p, p), out=True),
+            buffer(table.chols, np.float64, (M, p, p), out=True),
+            buffer(table.logdets, np.float64, (M,), out=True),
+        )
+
+    def loglik_members(self, X, idx, table: GaussTable, k: int, ll_row=None) -> np.ndarray:
+        """Log densities of the rows ``idx`` of X under the table's row k;
+        read from ``ll_row``, row k of the cycle's matrix, when given."""
         if ll_row is not None:
             return ll_row[idx]
-        return gauss_loglik_rows(X[idx], theta)
-
-    def loglik_matrix(self, X, thetas: list[GaussParams]) -> np.ndarray:
-        return gauss_loglik_matrix(X, thetas)
-
-    def batch(self, samples) -> GaussParams:
-        return gauss_batch(samples)
-
-    def batch_stats(self, X, groups, n_groups) -> np.ndarray:
-        return gauss_batch_stats(X, groups, n_groups)
-
-    def batch_neg_loglik(self, stats, p: int) -> np.ndarray:
-        return gauss_batch_neg_loglik(stats, p)
+        return gauss_loglik_matrix(X[idx], table, slice(k, k + 1))[0]
 
     def usable_rows(self, X) -> np.ndarray:
         """Which rows of X a batch fit learns from: all of them."""
         return np.ones(len(X), dtype=bool)
-
-    def df(self, p: int) -> int:
-        return gauss_df(p)
-
-    def make_state(self, params_list):
-        return _GaussTrainState(params_list, update_sigma=self.update_sigma)

@@ -15,7 +15,7 @@ import numpy as np
 from .core import Assignment, Dataset, MapGraph
 from .datagen import MixtureSpec
 from .driver import FitResult
-from .errors import DataError
+from .errors import DataError, SingularModelError
 from .gaussian import GaussParams
 from .multinomial import MultinomParams
 
@@ -44,19 +44,30 @@ def write_dataset(path, values: np.ndarray, labels=None):
             w.writerow(out)
 
 
-def read_dataset(path) -> Dataset:
-    """Read a header CSV; a trailing column named 'label' becomes labels."""
+def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a CSV, skipping empty lines; a row whose cell
+    count differs from the header's raises ``DataError`` naming its line."""
     try:
         with open(path, newline="") as f:
-            rows = list(csv.reader(f))
+            reader = csv.reader(f)
+            rows = [(reader.line_num, r) for r in reader if r]
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
-    if len(rows) < 2:
+    header = rows[0][1] if rows else []
+    for line, r in rows[1:]:
+        if len(r) != len(header):
+            raise DataError(f"{path}: line {line} has {len(r)} cells, the header {len(header)}")
+    return header, [r for _, r in rows[1:]]
+
+
+def read_dataset(path) -> Dataset:
+    """Read a header CSV; a trailing column named 'label' becomes labels."""
+    header, body = _read_csv(path)
+    if not body:
         raise DataError(f"{path}: need a header row and at least one data row")
-    header = rows[0]
     has_label = header[-1].strip().lower() == "label"
     try:
-        body = np.array([[float(v) for v in r] for r in rows[1:]])
+        body = np.array([[float(v) for v in r] for r in body])
     except ValueError as e:
         raise DataError(f"{path}: non-numeric cell: {e}") from e
     if has_label:
@@ -66,15 +77,11 @@ def read_dataset(path) -> Dataset:
 
 def read_label_column(path) -> np.ndarray:
     """Last column of a header CSV, as integer group ids."""
-    try:
-        with open(path, newline="") as f:
-            rows = list(csv.reader(f))
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
-    if len(rows) < 2:
+    _, body = _read_csv(path)
+    if not body:
         raise DataError(f"{path}: empty file")
     try:
-        return np.array([int(float(r[-1])) for r in rows[1:]])
+        return np.array([int(float(r[-1])) for r in body])
     except ValueError as e:
         raise DataError(f"{path}: non-numeric label column: {e}") from e
 
@@ -100,8 +107,15 @@ def _node_record(node_id: int, params) -> dict:
     return {"id": node_id, "theta": params.theta.tolist()}
 
 
+def _read_gauss_node(rec) -> GaussParams:
+    mean, cov = np.array(rec["mean"], dtype=float), np.array(rec["cov"], dtype=float)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise ValueError(f"node {rec['id']} has a non-finite mean or covariance")
+    return GaussParams(mean, cov)  # a covariance that cannot be factorized raises
+
+
 _NODE_READERS = {
-    "gaussian": lambda rec: GaussParams(np.array(rec["mean"]), np.array(rec["cov"])),
+    "gaussian": _read_gauss_node,
     "multinomial": lambda rec: MultinomParams(np.array(rec["theta"])),
 }
 
@@ -148,7 +162,7 @@ def load_model(path) -> tuple[str, dict, MapGraph, dict]:
     try:
         params = {rec["id"]: _NODE_READERS[family](rec) for rec in doc["nodes"]}
         graph = MapGraph(nodes=[rec["id"] for rec in doc["nodes"]], edges=doc["edges"])  # rejects duplicate ids
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, SingularModelError) as e:
         raise DataError(f"{path}: malformed model: {e!r}") from e
     if not params:
         raise DataError(f"{path}: model has no nodes")

@@ -1,8 +1,9 @@
 """Maximum-likelihood SOM training: winner search, neighborhood co-update,
 and maximum-likelihood classification.
 
-Node parameters live in a plain dict keyed by live node id (the
-NodeParamsTable); all functions here are generic over the model family.
+Node parameters live in the family's node table (``core.NodeTable``): the
+live ids in ascending order and stacked arrays, row k for the k-th smallest
+id. All functions here are generic over the model family.
 """
 
 from __future__ import annotations
@@ -13,20 +14,20 @@ from ._kernel import NeighborTable
 from .core import Assignment, Dataset, MapGraph, Schedule, schedule_alphas, schedule_radii
 
 
-def loglik_matrix(data: Dataset, params: dict, family) -> np.ndarray:
-    """M x n matrix of every sample's log-likelihood under every live node.
+def node_table(params, family):
+    """``params`` as a node table: a table as it is, or single-node values
+    keyed by id stacked into the family's table."""
+    return family.table.of(params) if isinstance(params, dict) else params
 
-    Row k belongs to the k-th smallest live id (``sorted(params)[k]``). The
-    matrix describes ``params`` as given: it is valid until the parameters
-    change, that is for one cycle's classification, link cutting and
-    deletion scoring, all of which read it instead of rescoring. The family
-    builds it (``loglik_matrix``), each row bitwise its node's
-    ``gauss_loglik_rows`` or ``multinom_loglik_rows``, sharing what the rows
-    have in common.
-    """
-    if not params:
-        raise ValueError("empty node table")
-    return family.loglik_matrix(data.values, [params[m] for m in sorted(params)])
+
+def loglik_matrix(data: Dataset, params, family) -> np.ndarray:
+    """M x n matrix of every sample's log-likelihood under every node of
+    ``params`` (see ``node_table``), row k for the k-th smallest live id.
+
+    The matrix is valid until the parameters change, that is for one cycle's
+    classification, link cutting and deletion scoring, all of which read it
+    instead of rescoring."""
+    return family.loglik_matrix(data.values, node_table(params, family))
 
 
 def ml_winners(ll: np.ndarray, ids) -> np.ndarray:
@@ -35,9 +36,11 @@ def ml_winners(ll: np.ndarray, ids) -> np.ndarray:
     return np.asarray(ids)[np.argmax(ll, axis=0)]
 
 
-def classify(data: Dataset, params: dict, family) -> Assignment:
-    """Assign every sample to its maximum-likelihood node (deterministic)."""
-    return Assignment(ml_winners(loglik_matrix(data, params, family), sorted(params)))
+def classify(data: Dataset, params, family) -> Assignment:
+    """Assign every sample to its maximum-likelihood node of ``params`` (see
+    ``node_table``), deterministically."""
+    table = node_table(params, family)
+    return Assignment(ml_winners(family.loglik_matrix(data.values, table), table.ids))
 
 
 def neighbor_table(graph: MapGraph, ids: list) -> NeighborTable:
@@ -53,27 +56,26 @@ def neighbor_table(graph: MapGraph, ids: list) -> NeighborTable:
 def mlsom_train(
     data: Dataset,
     graph: MapGraph,
-    params: dict,
+    table,
     sched: Schedule,
     rng: np.random.Generator,
     family,
-) -> dict:
-    """Run tau_max stochastic steps and return the updated parameter table.
+):
+    """Run tau_max stochastic steps on the node table in place and return it.
 
     Each step draws one sample uniformly with replacement, picks the
     maximum-likelihood winner (ties go to the smallest id), and co-updates
     every node within the current neighborhood radius (hop distance on the
     graph) at the current rate. The draws, rates, radii and neighbor table
-    are built once here; the family's training state (``make_state``) runs
-    all the steps in one ``run`` call into the compiled kernel, which needs
-    a C compiler on first use (see ``smlsom._kernel``).
+    are built once here; the family runs all the steps in one ``train`` call
+    into the compiled kernel, which needs a C compiler on first use (see
+    ``smlsom._kernel``), and the table then ``refresh``es.
     """
-    ids = sorted(params)
-    if set(ids) != set(graph.nodes):
+    if set(table.ids) != set(graph.nodes):
         raise ValueError("params and graph disagree on live nodes")
 
-    state = family.make_state([params[m] for m in ids])
     # one vector draw gives the same stream as tau_max scalar draws
     draws = rng.integers(data.n, size=sched.tau_max)
-    state.run(data.values, draws, schedule_alphas(sched), schedule_radii(sched), neighbor_table(graph, ids))
-    return dict(zip(ids, state.export()))
+    family.train(table, data.values, draws, schedule_alphas(sched), schedule_radii(sched), neighbor_table(graph, table.ids))
+    table.refresh()
+    return table

@@ -2,6 +2,8 @@
 
 Probabilities carry a small floor (with renormalization) so a count landing
 on a zero-probability category can never drive the log-likelihood to -inf.
+A fit holds its nodes in one ``MultinomTable`` of probabilities and their
+logs; ``MultinomParams`` is a single node.
 
 A row's log multinomial coefficient does not depend on the node, so the
 family computes it once for the data matrix of a fit (``log_coef``) and every
@@ -10,15 +12,14 @@ and ``mdl_score``, slices that one vector. It is element-wise, so a slice is
 bitwise the coefficient of the sliced rows.
 
 Training runs in the compiled kernel (``_kernel.c``, built and loaded by
-``_kernel``): one call trains a whole cycle, and a single node update
-(``update``) is a one-draw cycle. The kernel scores each drawn
-row under every node, moves the winner's neighbors toward the
-row's relative frequencies, floors and renormalizes them, and keeps their
-logs current. A drawn row's score log(theta) . x is one running sum in
-ascending order, the kernel's own (see ``_kernel.c``), whatever the host.
-Without a C compiler, training raises ``SmlsomError``.
+``_kernel``): one call trains a whole cycle on the table in place. The
+kernel scores each drawn row under every node, moves the winner's neighbors
+toward the row's relative frequencies, floors and renormalizes them, and
+keeps their logs current. A drawn row's score log(theta) . x is one running
+sum in ascending order, the kernel's own (see ``_kernel.c``), whatever the
+host. Without a C compiler, training raises ``SmlsomError``.
 
-Scoring outside training (the cycle's matrix, ``multinom_loglik_rows``) is
+Scoring outside training (the cycle's matrix, ``loglik_members``) is
 numpy's ``X @ log(theta)``: its summation order follows the host's BLAS, and
 an entry's rounding can depend on the other rows in the product.
 """
@@ -28,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from ._kernel import TrainState, buffer, check_status, cycle_args, kernel
+from ._kernel import buffer, train_cycle
+from .core import NodeTable
 
 THETA_FLOOR = 1e-10
 
@@ -67,21 +68,29 @@ class MultinomParams:
 
 def _log_coef(X: np.ndarray) -> np.ndarray:
     """Log multinomial coefficient log T! - sum log x_i! of every row."""
+    from scipy.special import gammaln  # lazy: scipy.special is most of the import time of smlsom
+
     return gammaln(X.sum(axis=1) + 1.0) - gammaln(X + 1.0).sum(axis=1)
 
 
-def multinom_loglik_rows(X: np.ndarray, theta: MultinomParams, coef: np.ndarray | None = None) -> np.ndarray:
-    """Log-likelihood of every row of X; ``coef`` is the rows' ``_log_coef``
-    when the caller already has it."""
-    X = np.asarray(X, dtype=float)
-    return (_log_coef(X) if coef is None else coef) + X @ np.log(theta.theta)
+class MultinomTable(NodeTable):
+    """Multinomial nodes: probabilities and their logs (M x p each)."""
 
+    FIELDS = ("thetas", "logthetas")
 
-def multinom_loglik_matrix(X: np.ndarray, thetas: list[MultinomParams], coef: np.ndarray) -> np.ndarray:
-    """Rows of ``multinom_loglik_rows`` for every node, bitwise, sharing the
-    rows' coefficient ``coef``."""
-    X = np.asarray(X, dtype=float)
-    return np.stack([coef + X @ np.log(t.theta) for t in thetas])
+    @staticmethod
+    def row(theta: MultinomParams) -> tuple:
+        return theta.theta, np.log(theta.theta)
+
+    def node(self, k: int) -> MultinomParams:
+        node = object.__new__(MultinomParams)  # skips a second floor, which can move the last bits
+        object.__setattr__(node, "theta", self.thetas[k].copy())
+        return node
+
+    def refresh(self):
+        """Floor every row after training, as ``MultinomParams`` would."""
+        self.thetas = _floor_probabilities(self.thetas)
+        self.logthetas = np.log(self.thetas)
 
 
 def multinom_batch(samples: np.ndarray) -> MultinomParams:
@@ -137,50 +146,25 @@ def multinom_df(p: int) -> int:
     return p - 1
 
 
-class _MultinomTrainState(TrainState):
-    """Stacked probabilities and their logs, updated in place by the kernel.
-
-    ``run`` trains a whole cycle in one kernel call; ``update`` moves one
-    node as a one-draw cycle (see ``TrainState``), and an all-zero row
-    leaves it as it is.
-    """
-
-    def __init__(self, params_list: list[MultinomParams], log_coef):
-        self._lib = kernel()
-        self._log_coef = log_coef  # the family's coefficient vector of a data matrix
-        self.thetas = np.stack([t.theta for t in params_list])
-        self.logthetas = np.log(self.thetas)
-
-    def __len__(self) -> int:
-        return len(self.thetas)
-
-    def run(self, X, draws, alphas, radii, neighbors) -> np.ndarray:
-        """Train one cycle (see ``smlsom.mlsom_train``); returns each step's
-        winner index."""
-        M, p = self.thetas.shape
-        rows, args = cycle_args(X, draws, alphas, radii, neighbors, M, p)  # rows: kept alive for the call
-        coef = self._log_coef(X)[draws]
-        winners = np.empty(len(draws), dtype=np.int64)
-        check_status(
-            self._lib.multinom_train_cycle(
-                *args,
-                buffer(coef, np.float64, winners.shape),
-                2.0 * THETA_FLOOR,
-                buffer(self.thetas, np.float64, (M, p), out=True),
-                buffer(self.logthetas, np.float64, (M, p), out=True),
-                buffer(winners, np.int64, winners.shape, out=True),
-            )
-        )
-        return winners
-
-    def export(self) -> list[MultinomParams]:
-        return [MultinomParams(t) for t in self.thetas]
+def multinom_loglik_matrix(X: np.ndarray, table: MultinomTable, coef: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """M x n matrix of the log-likelihood of every row of X under each of
+    the M nodes in the table's ``rows``; ``coef`` is the rows' ``_log_coef``."""
+    X = np.asarray(X, dtype=float)
+    logthetas = table.logthetas[rows]
+    out = np.empty((len(logthetas), len(X)))
+    for k, logtheta in enumerate(logthetas):
+        out[k] = X @ logtheta
+    return out + coef
 
 
 class MultinomialFamily:
     """Family adapter used by the training loop, structure updates and driver."""
 
     name = "multinomial"
+    table = MultinomTable
+    batch = staticmethod(multinom_batch)
+    batch_neg_loglik = staticmethod(multinom_batch_neg_loglik)
+    df = staticmethod(multinom_df)
 
     def __init__(self):
         self._coef = (None, None)  # the last data matrix seen and its rows' coefficients
@@ -198,31 +182,32 @@ class MultinomialFamily:
             self._coef = (X, coef)
         return coef
 
-    def loglik_members(self, X, idx, theta: MultinomParams, ll_row=None) -> np.ndarray:
-        """``multinom_loglik_rows(X[idx], theta)``, bitwise, with the
-        coefficients sliced from ``log_coef(X)``. ``ll_row`` (theta's row of
-        the cycle's matrix) is not read: the matrix product over all of X can
-        round a row differently from one over the members alone."""
-        return multinom_loglik_rows(X[idx], theta, self.log_coef(X)[idx])
+    def train(self, table: MultinomTable, X, draws, alphas, radii, neighbors) -> np.ndarray:
+        """``GaussianFamily.train``'s cycle; an all-zero row moves no node."""
+        M, p = table.thetas.shape
+        coef = np.take(self.log_coef(X), draws, mode="clip")  # train_cycle rejects a draw out of range
+        return train_cycle(
+            "multinom_train_cycle",
+            X, draws, alphas, radii, neighbors, M, p,
+            buffer(coef, np.float64, (len(draws),)),
+            2.0 * THETA_FLOOR,
+            buffer(table.thetas, np.float64, (M, p), out=True),
+            buffer(table.logthetas, np.float64, (M, p), out=True),
+        )
 
-    def loglik_matrix(self, X, thetas: list[MultinomParams]) -> np.ndarray:
-        return multinom_loglik_matrix(X, thetas, self.log_coef(X))
+    def loglik_members(self, X, idx, table: MultinomTable, k: int, ll_row=None) -> np.ndarray:
+        """Log-likelihoods of the rows ``idx`` of X under the table's row k.
+        ``ll_row`` (row k of the cycle's matrix) is not read: the matrix
+        product over all of X can round a row differently from one over the
+        members alone."""
+        return multinom_loglik_matrix(X[idx], table, self.log_coef(X)[idx], slice(k, k + 1))[0]
 
-    def batch(self, samples) -> MultinomParams:
-        return multinom_batch(samples)
+    def loglik_matrix(self, X, table: MultinomTable) -> np.ndarray:
+        return multinom_loglik_matrix(X, table, self.log_coef(X))
 
     def batch_stats(self, X, groups, n_groups) -> np.ndarray:
         return multinom_batch_stats(np.asarray(X, dtype=float), self.log_coef(X), groups, n_groups)
 
-    def batch_neg_loglik(self, stats, p: int) -> np.ndarray:
-        return multinom_batch_neg_loglik(stats, p)
-
     def usable_rows(self, X) -> np.ndarray:
         """Which rows of X a batch fit learns from: those with a count."""
         return np.asarray(X, dtype=float).sum(axis=1) > 0
-
-    def df(self, p: int) -> int:
-        return multinom_df(p)
-
-    def make_state(self, params_list):
-        return _MultinomTrainState(params_list, self.log_coef)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, Dataset, MapGraph
+from .core import Assignment, Dataset, MapGraph, NodeTable
+from .mlsom import node_table
 
 _H_FLOOR = 1e-12
 # A deletion candidate is scored exactly when its estimate is within this
@@ -60,7 +61,7 @@ def cut_weak_links(
     graph: MapGraph,
     data: Dataset,
     assignment: Assignment,
-    params: dict,
+    table: NodeTable,
     beta: float,
     family,
     ll: np.ndarray,
@@ -68,14 +69,14 @@ def cut_weak_links(
     """Remove every edge whose weakness exceeds beta times the worst per-node
     average log-likelihood; returns the removed edges.
 
-    ``ll`` is ``loglik_matrix(data, params, family)``. beta = inf is a
+    ``ll`` is ``loglik_matrix(data, table, family)``. beta = inf is a
     never-cut sentinel. Edges incident to an empty node are always cut: an
     unsupported node carries no neighborhood evidence.
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
 
-    ids = sorted(params)
+    ids = table.ids
     members = dict(zip(ids, assignment.groups(ids)))
 
     removed = set()
@@ -110,25 +111,26 @@ def _mdl(neg_loglik: float, M: int, data: Dataset, family) -> MdlScore:
     return MdlScore(neg_loglik, complexity, indexing)
 
 
-def mdl_score(data: Dataset, assignment: Assignment, params: dict, family, ll: np.ndarray | None = None) -> MdlScore:
-    """Classification MDL: data code length + parameter code length +
-    assignment index code length, natural log throughout.
+def mdl_score(data: Dataset, assignment: Assignment, params, family, ll: np.ndarray | None = None) -> MdlScore:
+    """Classification MDL of ``params`` (see ``mlsom.node_table``): data code
+    length + parameter code length + assignment index code length, natural
+    log throughout.
 
     ``ll``, when given, is ``loglik_matrix(data, params, family)``; a family
     whose matrix slices are bitwise its members' rows reads them from it."""
-    ids = sorted(params)
+    table = node_table(params, family)
     neg = 0.0
-    for k, (m, idx) in enumerate(zip(ids, assignment.groups(ids))):
+    for k, idx in enumerate(assignment.groups(table.ids)):
         if idx.size:
             row = None if ll is None else ll[k]
-            neg -= float(family.loglik_members(data.values, idx, params[m], row).sum())
-    return _mdl(neg, len(ids), data, family)
+            neg -= float(family.loglik_members(data.values, idx, table, k, row).sum())
+    return _mdl(neg, len(table), data, family)
 
 
 @dataclass
 class DeletionResult:
     graph: MapGraph
-    params: dict
+    params: NodeTable
     assignment: Assignment
     score: MdlScore  # MDL of the adopted map
     previous: MdlScore  # MDL of the map before the deletion attempt
@@ -162,13 +164,13 @@ class _DeletionSearch:
     the (candidate, receiver) pairs that occur group the moved samples.
     """
 
-    def __init__(self, data: Dataset, assignment: Assignment, params: dict, family, ll: np.ndarray):
-        self.ids = sorted(params)
+    def __init__(self, data: Dataset, assignment: Assignment, table: NodeTable, family, ll: np.ndarray):
+        self.ids = table.ids
         self.M = M = len(self.ids)
         self.id_of = np.asarray(self.ids)
         self.X = data.values
         self.usable = family.usable_rows(self.X)
-        self.data, self.assignment, self.params, self.family = data, assignment, params, family
+        self.data, self.assignment, self.table, self.family = data, assignment, table, family
         own = np.minimum(np.searchsorted(self.id_of, assignment.m), M - 1)
         if not np.array_equal(self.id_of[own], assignment.m):
             raise ValueError("assignment names a node that has no parameters")
@@ -180,26 +182,25 @@ class _DeletionSearch:
         lookup = np.empty(M * M, dtype=np.int64)
         lookup[pair_keys] = np.arange(len(pair_keys))
         self.pair_of = lookup[key]
-        self.node_fits = {}  # row -> fit on its current members
-        self.pair_fits = {}  # (candidate, receiver) -> receiver's fit on its new members
+        self.node_fits = {}  # row -> (refit, part) on its current members
+        self.pair_fits = {}  # (candidate, receiver) -> receiver's (refit, part) on its new members
 
     def receiver_rows(self, c: int, r: int) -> np.ndarray:
         """Ascending sample rows of survivor r once candidate c is deleted."""
         return np.flatnonzero((self.own == r) | ((self.own == c) & (self.to == r)))
 
     def fit(self, k: int, idx: np.ndarray):
-        """Batch fit of row k's node on samples idx and their log-likelihood
-        (with no samples the node keeps its parameters and adds 0.0, which
-        leaves the running total bitwise unchanged, as skipping it does).
-        Samples a batch fit cannot learn from, such as all-zero counts, also
-        leave the parameters as they are; their part is still scored under
-        them."""
-        theta = self.params[self.ids[k]]
+        """Batch refit of row k's node on samples idx, as a one-row table,
+        and their log-likelihood; None where the node keeps its row. With no
+        samples it adds 0.0, which leaves the running total bitwise
+        unchanged, as skipping it does; samples a batch fit cannot learn
+        from, such as all-zero counts, are scored under the row."""
         if not idx.size:
-            return theta, 0.0
-        if self.usable[idx].any():
-            theta = self.family.batch(self.X[idx])
-        return theta, float(self.family.loglik_members(self.X, idx, theta).sum())
+            return None, 0.0
+        if not self.usable[idx].any():
+            return None, float(self.family.loglik_members(self.X, idx, self.table, k).sum())
+        refit = self.family.table.of({self.ids[k]: self.family.batch(self.X[idx])})
+        return refit, float(self.family.loglik_members(self.X, idx, refit, 0).sum())
 
     def node_fit(self, k: int):
         if k not in self.node_fits:
@@ -242,35 +243,34 @@ class _DeletionSearch:
 
     def exact(self, c: int):
         """The MDL of deleting candidate row c, bitwise as ``mdl_score``
-        gives it for the refitted map, with that map's parameters and
+        gives it for the refitted map, with that map's node table and
         assignment."""
         moved = self.groups[c]
         new_m = self.assignment.m.copy()
         new_m[moved] = self.id_of[self.to[moved]]
         receivers = set(self.to[moved].tolist())
-        cand_params = {}
+        rows = [k for k in range(self.M) if k != c]
+        refits = []
         neg = 0.0
-        for k, l in enumerate(self.ids):
-            if k == c:
-                continue
-            theta, part = self.pair_fit(c, k) if k in receivers else self.node_fit(k)
-            cand_params[l] = theta
+        for k in rows:
+            refit, part = self.pair_fit(c, k) if k in receivers else self.node_fit(k)
+            refits.append(refit)
             neg -= part
-        return _mdl(neg, self.M - 1, self.data, self.family), cand_params, new_m
+        return _mdl(neg, self.M - 1, self.data, self.family), self.table.take(rows, refits), new_m
 
 
 def try_delete_node(
     data: Dataset,
     graph: MapGraph,
     assignment: Assignment,
-    params: dict,
+    table: NodeTable,
     family,
     ll: np.ndarray,
 ) -> DeletionResult:
     """Evaluate removing each node in turn and adopt the best candidate iff it
     strictly improves the MDL total; the first strict minimum wins a tie.
 
-    ``ll`` is ``loglik_matrix(data, params, family)``. For a candidate
+    ``ll`` is ``loglik_matrix(data, table, family)``. For a candidate
     deletion, the deleted node's samples are reclassified by maximum
     likelihood among the survivors, every survivor is re-estimated by the
     batch method-of-moments fit on its updated sample set (a survivor left
@@ -290,23 +290,23 @@ def try_delete_node(
     ascending id order, as ``mdl_score`` sums them. An empty shortlist means
     no candidate can beat the current map, and nothing is refitted.
     """
-    current = mdl_score(data, assignment, params, family, ll)
-    if len(params) < 2:
-        return DeletionResult(graph, params, assignment, current, current, None)
+    current = mdl_score(data, assignment, table, family, ll)
+    if len(table) < 2:
+        return DeletionResult(graph, table, assignment, current, current, None)
 
-    search = _DeletionSearch(data, assignment, params, family, ll)
+    search = _DeletionSearch(data, assignment, table, family, ll)
     est = search.estimates()
     ref = min(float(est.min()), current.total)
-    best = None  # (score, candidate row, params, assignment ids)
+    best = None  # (score, candidate row, table, assignment ids)
     for c in np.flatnonzero(est <= ref + SHORTLIST_RTOL * abs(ref)).tolist():
-        score, cand_params, new_m = search.exact(c)
+        score, cand_table, new_m = search.exact(c)
         if best is None or score.total < best[0].total:
-            best = (score, c, cand_params, new_m)
+            best = (score, c, cand_table, new_m)
 
     if best is None or best[0].total >= current.total:
-        return DeletionResult(graph, params, assignment, current, current, None)
+        return DeletionResult(graph, table, assignment, current, current, None)
 
-    score, c, cand_params, new_m = best
+    score, c, cand_table, new_m = best
     m = search.ids[c]
     new_graph = graph.copy()
     former = new_graph.remove_node(m)
@@ -314,4 +314,4 @@ def try_delete_node(
         for b in former[i + 1 :]:
             if not new_graph.has_edge(a, b):
                 new_graph.add_edge(a, b)
-    return DeletionResult(new_graph, cand_params, Assignment(new_m), score, current, m)
+    return DeletionResult(new_graph, cand_table, Assignment(new_m), score, current, m)

@@ -7,6 +7,7 @@ references that a production path must match bit for bit: the numpy
 Gaussian and multinomial training states and the Gaussian scoring, which
 take the compiled kernel's steps in its summation orders (sequential sums
 by ``np.cumsum``, no BLAS), so that they agree with it on every host.
+``stack`` and ``update`` are conveniences over the production node tables.
 """
 
 import math
@@ -185,10 +186,18 @@ def random_pd_matrix(rng, p, scale=1.0) -> np.ndarray:
     return scale * (A @ A.T + p * np.eye(p) * 0.1)
 
 
+def multinom_loglik_rows(X, theta) -> np.ndarray:
+    """Multinomial log-likelihood of every row of X: its log coefficient
+    plus X @ log(theta), as the family scores a row."""
+    from smlsom.multinomial import _log_coef
+
+    X = np.asarray(X, dtype=float)
+    return _log_coef(X) + X @ np.log(theta.theta)
+
+
 def loglik_rows(family, X, theta) -> np.ndarray:
     """The family's per-row log-likelihoods of the rows of X under theta."""
     from smlsom import gauss_loglik_rows
-    from smlsom.multinomial import multinom_loglik_rows
 
     rows = {"gaussian": gauss_loglik_rows, "multinomial": multinom_loglik_rows}[family.name]
     return rows(X, theta)
@@ -309,7 +318,8 @@ def factor_step(L, d, a):
 
 
 class OracleGaussTrainState:
-    """The numpy Gaussian training state, step by step in Python.
+    """The numpy Gaussian training state, step by step in Python, on a
+    ``GaussTable``'s arrays in place.
 
     Keeps per-node Cholesky factors and log determinants current, so a
     winner search is one forward substitution per node (``ordered_quad``).
@@ -320,15 +330,12 @@ class OracleGaussTrainState:
     determinant lemma to the log determinant.
     """
 
-    def __init__(self, params_list, update_sigma=True):
+    def __init__(self, table, update_sigma=True):
         from smlsom.gaussian import _LOG_2PI
 
         self.update_sigma = update_sigma
-        self.mus = np.stack([t.mu for t in params_list])
-        self.sigmas = np.stack([t.sigma for t in params_list])
-        self.chols = np.stack([t._chol for t in params_list])
-        self.logdets = np.array([t.log_det for t in params_list])
-        self._plog2pi = params_list[0].p * _LOG_2PI
+        self.mus, self.sigmas, self.chols, self.logdets = table.mus, table.sigmas, table.chols, table.logdets
+        self._plog2pi = self.mus.shape[1] * _LOG_2PI
         self._scored = self._dev = self._quad = None  # last loglik_all row and its terms
         self._moved = set()  # nodes updated since that call
 
@@ -365,19 +372,13 @@ class OracleGaussTrainState:
                 self.update(idx[j], x, alpha)
         return np.array(winners, dtype=np.int64)
 
-    def export(self):
-        from smlsom import GaussParams
-
-        return [GaussParams(self.mus[k], self.sigmas[k]) for k in range(len(self.mus))]
-
 
 class OracleMultinomTrainState:
-    """The numpy multinomial training state, step by step in Python: stacked
-    probabilities plus cached logs."""
+    """The numpy multinomial training state, step by step in Python, on a
+    ``MultinomTable``'s probabilities and cached logs in place."""
 
-    def __init__(self, params_list):
-        self.thetas = np.stack([t.theta for t in params_list])
-        self.logthetas = np.log(self.thetas)
+    def __init__(self, table):
+        self.thetas, self.logthetas = table.thetas, table.logthetas
 
     def loglik_all(self, x):
         from scipy.special import gammaln
@@ -412,26 +413,40 @@ class OracleMultinomTrainState:
                 self.update(idx[j], x, alpha)
         return np.array(winners, dtype=np.int64)
 
-    def export(self):
-        from smlsom import MultinomParams
 
-        return [MultinomParams(t) for t in self.thetas]
+def stack(family, params_list):
+    """The family's node table of single-node values, ids 0, 1, ... in
+    list order."""
+    return family.table.of(dict(enumerate(params_list)))
+
+
+def update(family, table, k, x, a):
+    """Move row k of the node table toward the sample x at rate a, as the
+    fit's training does: a one-draw ``family.train`` at radius 0 whose
+    neighbor table sends every winner to row k."""
+    from smlsom._kernel import NeighborTable
+
+    M = len(table)
+    if not 0 <= k < M:
+        raise IndexError(f"node index {k} out of range for {M} nodes")
+    to_k = NeighborTable(np.arange(M + 1, dtype=np.int64), np.full(M, k, dtype=np.int64), np.zeros(M, dtype=np.int64))
+    family.train(table, np.reshape(x, (1, -1)), np.zeros(1, dtype=np.int64), np.array([a], dtype=float), np.zeros(1), to_k)
 
 
 class _OracleFamily:
-    """A model family whose training state is a numpy oracle state in place
-    of the compiled kernel; everything else is the real family's."""
+    """A model family that trains with ``state(table).run`` in place of the
+    compiled kernel; everything else is the real family's."""
 
-    def __init__(self, inner, make_state):
+    def __init__(self, inner, state):
         self._inner = inner
-        self._make_state = make_state
+        self._state = state
         self.name = inner.name
 
     def __getattr__(self, attr):
         return getattr(self._inner, attr)
 
-    def make_state(self, params_list):
-        return self._make_state(params_list)
+    def train(self, table, X, draws, alphas, radii, neighbors):
+        return self._state(table).run(X, draws, alphas, radii, neighbors)
 
 
 class OracleGaussianFamily(_OracleFamily):
@@ -453,22 +468,15 @@ class OracleMultinomialFamily(_OracleFamily):
 
 
 class RecordingFamily(_OracleFamily):
-    """A model family whose training states record, in ``winners``, every
-    winner their ``run`` returns: indices into the sorted live ids of the
-    training call."""
+    """A model family that records, in ``winners``, every winner its
+    ``train`` returns: rows of the node table, that is indices into the
+    sorted live ids of the training call."""
 
     def __init__(self, inner):
+        super().__init__(inner, None)
         self.winners = []
-        super().__init__(inner, self._recording_state)
 
-    def _recording_state(self, params_list):
-        state = self._inner.make_state(params_list)
-        run = state.run
-
-        def recorded_run(*args):
-            winners = run(*args)
-            self.winners.extend(winners.tolist())
-            return winners
-
-        state.run = recorded_run
-        return state
+    def train(self, *args):
+        winners = self._inner.train(*args)
+        self.winners.extend(winners.tolist())
+        return winners

@@ -44,6 +44,8 @@ from oracles import (
     oracle_nmi,
     oracle_radius,
     random_pd_matrix,
+    stack,
+    update,
 )
 
 GAUSS = GaussianFamily()
@@ -140,7 +142,7 @@ def test_criterion_4_kohonen_reduction():
     sched = Schedule(r1=2.0, tau_max=1000)
 
     family = RecordingFamily(GaussianFamily(update_sigma=False))
-    mlsom_train(data, g, params, sched, np.random.default_rng(41), family)
+    mlsom_train(data, g, family.table.of(params), sched, np.random.default_rng(41), family)
     winners = family.winners  # ids 0-8 are their own indices
 
     # the reference: a plain Euclidean SOM replaying the same sample order
@@ -249,24 +251,25 @@ def test_criterion_6_kl_consistency():
 
 
 def test_criterion_7_parameter_invariants():
-    # every step is the compiled kernel's node step on a one-node training state
+    # every step is the compiled kernel's node step on a one-node table
     rng = np.random.default_rng(70)
     violations = 0
 
-    state = GAUSS.make_state([GaussParams(rng.normal(size=2), random_pd_matrix(rng, 2))])
+    table = stack(GAUSS, [GaussParams(rng.normal(size=2), random_pd_matrix(rng, 2))])
     for _ in range(100_000):
-        state.update(0, rng.normal(size=2), rng.uniform(0.0, 0.5))
-        sigma = state.sigmas[0]
+        update(GAUSS, table, 0, rng.normal(size=2), rng.uniform(0.0, 0.5))
+        sigma = table.sigmas[0]
         if not np.array_equal(sigma, sigma.T):
             violations += 1
         elif np.linalg.eigvalsh(sigma).min() < -1e-8:
             violations += 1
 
-    state = MultinomialFamily().make_state([MultinomParams(rng.dirichlet(np.ones(4)))])
+    multinom = MultinomialFamily()
+    table = stack(multinom, [MultinomParams(rng.dirichlet(np.ones(4)))])
     for _ in range(100_000):
         x = rng.multinomial(20, [0.4, 0.3, 0.2, 0.1]).astype(float)
-        state.update(0, x, rng.uniform(0.0, 0.5))
-        t = state.thetas[0]
+        update(multinom, table, 0, x, rng.uniform(0.0, 0.5))
+        t = table.thetas[0]
         if abs(t.sum() - 1.0) > 1e-9 or np.any(t < 0):
             violations += 1
 

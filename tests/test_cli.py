@@ -90,6 +90,25 @@ class TestFit:
             main(["fit", "--input"])
         assert exc.value.code == 1
 
+    def test_blank_lines_are_skipped(self, tmp_path, blob_csv):
+        path, _ = blob_csv
+        lines = path.read_text().splitlines(keepends=True)
+        blank = tmp_path / "blank.csv"
+        blank.write_text("".join(lines[:3]) + "\n" + "".join(lines[3:]) + "\n")
+        args = ["fit", "--seed", "0", "--input"]
+        assert main(args + [str(path), "--out", str(tmp_path / "m1.json")]) == 0
+        assert main(args + [str(blank), "--out", str(tmp_path / "m2.json")]) == 0
+        assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+
+    def test_ragged_row_is_a_data_error_naming_its_line(self, tmp_path, blob_csv, capsys):
+        path, _ = blob_csv
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--input", str(ragged), "--out", str(tmp_path / "m.json")]) == 2
+        assert "line 4 has 2 cells, the header 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flags",
         [["--rows", "0"], ["--beta", "-1"], ["--alpha", "2", "0.1"], ["--tau-max", "0"], ["--restarts", "0"]],
@@ -129,6 +148,36 @@ class TestScore:
         write_dataset(other, np.random.default_rng(1).normal(size=(20, 3)))
         rc = main(["score", "--model", str(model), "--input", str(other)])
         assert rc == 2
+
+    def test_blank_last_line_is_skipped(self, tmp_path, blob_csv, capsys):
+        path, _ = blob_csv
+        model = tmp_path / "model.json"
+        main(["fit", "--input", str(path), "--out", str(model), "--seed", "0"])
+        blank = tmp_path / "blank.csv"
+        blank.write_text(path.read_text() + "\n")
+        capsys.readouterr()
+        assert main(["score", "--model", str(model), "--input", str(blank), "--json"]) == 0
+        with_blank = capsys.readouterr().out
+        assert main(["score", "--model", str(model), "--input", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == with_blank
+
+    @pytest.mark.parametrize(
+        "mean, cov",
+        [
+            ([float("nan"), 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+            ([0.0, 0.0], [[1.0, float("nan")], [float("nan"), 1.0]]),
+            ([float("inf"), 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+            ([0.0, 0.0], [[1.0, 0.0], [0.0, -1.0]]),
+        ],
+        ids=["nan-mean", "nan-cov", "inf-mean", "not-positive-definite"],
+    )
+    def test_unusable_gaussian_node_is_a_data_error(self, tmp_path, blob_csv, capsys, mean, cov):
+        path, _ = blob_csv
+        model = tmp_path / "model.json"
+        nodes = [{"id": 0, "mean": [-5.0, 0.0], "cov": np.eye(2).tolist()}, {"id": 1, "mean": mean, "cov": cov}]
+        model.write_text(json.dumps({"format_version": 1, "family": "gaussian", "nodes": nodes, "edges": [[0, 1]]}))
+        assert main(["score", "--model", str(model), "--input", str(path)]) == 2
+        assert "malformed model" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -206,6 +255,25 @@ class TestEval:
         short = tmp_path / "short.csv"
         write_assignment(short, Assignment(labels[:10]))
         assert main(["eval", "--labels", str(path), "--assignment", str(short)]) == 2
+
+    def test_blank_last_line_is_skipped(self, tmp_path, blob_csv, capsys):
+        path, labels = blob_csv
+        blank = tmp_path / "blank.csv"
+        blank.write_text(path.read_text() + "\n")
+        assign = tmp_path / "assign.csv"
+        write_assignment(assign, Assignment(labels))
+        assert main(["eval", "--labels", str(blank), "--assignment", str(assign), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ari"] == pytest.approx(1.0)
+
+    def test_ragged_row_is_a_data_error_naming_its_line(self, tmp_path, blob_csv, capsys):
+        path, labels = blob_csv
+        assign = tmp_path / "assign.csv"
+        write_assignment(assign, Assignment(labels))
+        lines = assign.read_text().splitlines()
+        lines[5] += ",7"
+        assign.write_text("\n".join(lines) + "\n")
+        assert main(["eval", "--labels", str(path), "--assignment", str(assign)]) == 2
+        assert "line 6 has 3 cells, the header 2" in capsys.readouterr().err
 
 
 class TestRoundTrips:

@@ -104,9 +104,9 @@ def updated_nodes(graph, winner, r1, tau_max):
     data = Dataset(np.full((2, 1), float(winner)))
     sched = Schedule(r1=r1, tau_max=tau_max)
     family = RecordingFamily(GaussianFamily())
-    out = mlsom_train(data, graph, params, sched, np.random.default_rng(0), family)
+    out = mlsom_train(data, graph, family.table.of(params), sched, np.random.default_rng(0), family)
     assert {ids[k] for k in family.winners} == {winner}
-    return {m for m in ids if not np.array_equal(out[m].sigma, params[m].sigma)}
+    return {m for k, m in enumerate(ids) if not np.array_equal(out.sigmas[k], params[m].sigma)}
 
 
 class TestNeighborhoodIndicator:

@@ -94,27 +94,27 @@ class TestInitParams:
     def test_gaussian_identity_covariances(self):
         rng = np.random.default_rng(4)
         data = Dataset(rng.normal(size=(100, 2)))
-        params = init_params(data, FitConfig(), np.random.default_rng(0))
-        assert sorted(params) == list(range(9))
-        for theta in params.values():
-            np.testing.assert_array_equal(theta.sigma, np.eye(2))
+        table = init_params(data, FitConfig(), np.random.default_rng(0))
+        assert table.ids == list(range(9))
+        for sigma in table.sigmas:
+            np.testing.assert_array_equal(sigma, np.eye(2))
 
     def test_random_init_uses_data_rows(self):
         rng = np.random.default_rng(5)
         data = Dataset(rng.normal(size=(100, 2)))
-        params = init_params(
+        table = init_params(
             data, FitConfig(init="random"), np.random.default_rng(0)
         )
         rows = {tuple(r) for r in data.values}
-        assert all(tuple(theta.mu) in rows for theta in params.values())
+        assert all(tuple(mu) in rows for mu in table.mus)
 
     def test_multinomial_simplex(self):
         data = Dataset(np.random.default_rng(6).integers(0, 5, size=(40, 4)).astype(float))
-        params = init_params(
+        table = init_params(
             data, FitConfig(family="multinomial"), np.random.default_rng(0)
         )
-        for theta in params.values():
-            assert theta.theta.sum() == pytest.approx(1.0)
+        for theta in table.thetas:
+            assert theta.sum() == pytest.approx(1.0)
 
     def test_multinomial_single_category_rejected(self):
         data = Dataset(np.ones((10, 1)))

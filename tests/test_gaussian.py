@@ -38,6 +38,8 @@ from oracles import (
     oracle_gauss_loglik_rows,
     random_pd_matrix,
     scipy_gauss_loglik_rows,
+    stack,
+    update,
 )
 
 # a covariance captured from a collapsing node: Cholesky accepts it, while an
@@ -50,13 +52,13 @@ CHOLESKY_ACCEPTED_SINGULAR = np.array(
 )
 
 
-def assert_matches_oracle(state, oracle):
+def assert_matches_oracle(table, oracle):
     """Means, covariances, Cholesky factors and log-determinants bitwise:
     the oracle takes the kernel's steps in its orders."""
-    np.testing.assert_array_equal(state.mus, oracle.mus)
-    np.testing.assert_array_equal(state.sigmas, oracle.sigmas)
-    np.testing.assert_array_equal(state.chols, oracle.chols)
-    np.testing.assert_array_equal(state.logdets, oracle.logdets)
+    np.testing.assert_array_equal(table.mus, oracle.mus)
+    np.testing.assert_array_equal(table.sigmas, oracle.sigmas)
+    np.testing.assert_array_equal(table.chols, oracle.chols)
+    np.testing.assert_array_equal(table.logdets, oracle.logdets)
 
 
 def loglik_at(x, theta):
@@ -64,10 +66,7 @@ def loglik_at(x, theta):
     return gauss_loglik_rows(np.atleast_2d(np.asarray(x, dtype=float)), theta)[0]
 
 
-def one_node_state(theta):
-    """A training state holding the single node theta; ``update(0, x, a)``
-    is the kernel's node step."""
-    return GaussianFamily().make_state([theta])
+FAMILY = GaussianFamily()
 
 
 class TestLoglik:
@@ -109,28 +108,28 @@ class TestLoglik:
 
 
 class TestUpdate:
-    """The kernel's node step on a one-node training state."""
+    """The kernel's node step on a one-node table."""
 
     def test_zero_rate_is_identity(self):
         rng = np.random.default_rng(0)
         theta = GaussParams(rng.normal(size=2), random_pd_matrix(rng, 2))
-        state = one_node_state(theta)
-        state.update(0, rng.normal(size=2), 0.0)
-        np.testing.assert_array_equal(state.mus[0], theta.mu)
-        np.testing.assert_array_equal(state.sigmas[0], theta.sigma)
+        table = stack(FAMILY, [theta])
+        update(FAMILY, table, 0, rng.normal(size=2), 0.0)
+        np.testing.assert_array_equal(table.mus[0], theta.mu)
+        np.testing.assert_array_equal(table.sigmas[0], theta.sigma)
 
     def test_sample_at_mean_shrinks_sigma(self):
         theta = GaussParams([1.0, 2.0], 2.0 * np.eye(2))
-        state = one_node_state(theta)
-        state.update(0, np.array([1.0, 2.0]), 0.25)
-        np.testing.assert_allclose(state.mus[0], theta.mu)
-        np.testing.assert_allclose(state.sigmas[0], 0.75 * theta.sigma)
+        table = stack(FAMILY, [theta])
+        update(FAMILY, table, 0, np.array([1.0, 2.0]), 0.25)
+        np.testing.assert_allclose(table.mus[0], theta.mu)
+        np.testing.assert_allclose(table.sigmas[0], 0.75 * theta.sigma)
 
     def test_hand_evaluated_1d_step(self):
-        state = one_node_state(GaussParams([0.0], [[1.0]]))
-        state.update(0, np.array([2.0]), 0.5)
-        assert state.mus[0, 0] == pytest.approx(1.0)
-        assert state.sigmas[0, 0, 0] == pytest.approx(1.5)
+        table = stack(FAMILY, [GaussParams([0.0], [[1.0]])])
+        update(FAMILY, table, 0, np.array([2.0]), 0.5)
+        assert table.mus[0, 0] == pytest.approx(1.0)
+        assert table.sigmas[0, 0, 0] == pytest.approx(1.5)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -140,9 +139,9 @@ class TestUpdate:
     )
     def test_preserves_symmetry_and_psd(self, seed, a, p):
         rng = np.random.default_rng(seed)
-        state = one_node_state(GaussParams(rng.normal(size=p), random_pd_matrix(rng, p)))
-        state.update(0, rng.normal(size=p, scale=3.0), a)
-        sigma = state.sigmas[0]
+        table = stack(FAMILY, [GaussParams(rng.normal(size=p), random_pd_matrix(rng, p))])
+        update(FAMILY, table, 0, rng.normal(size=p, scale=3.0), a)
+        sigma = table.sigmas[0]
         np.testing.assert_array_equal(sigma, sigma.T)
         assert np.linalg.eigvalsh(sigma).min() > -1e-10
 
@@ -152,28 +151,28 @@ class TestUpdate:
         rng = np.random.default_rng(42)
         true_mu = np.array([1.0, -1.0])
         true_sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
-        state = one_node_state(GaussParams([0.0, 0.0], np.eye(2)))
+        table = stack(FAMILY, [GaussParams([0.0, 0.0], np.eye(2))])
         n_steps = 20_000
         for t in range(1, n_steps + 1):
-            state.update(0, rng.multivariate_normal(true_mu, true_sigma), 1.0 / (t + 1.0))
-        np.testing.assert_allclose(state.mus[0], true_mu, atol=0.15)
-        np.testing.assert_allclose(state.sigmas[0], true_sigma, atol=0.25)
+            update(FAMILY, table, 0, rng.multivariate_normal(true_mu, true_sigma), 1.0 / (t + 1.0))
+        np.testing.assert_allclose(table.mus[0], true_mu, atol=0.15)
+        np.testing.assert_allclose(table.sigmas[0], true_sigma, atol=0.25)
 
 
-def assert_factors_track(state):
+def assert_factors_track(table):
     """Each node's factor L reproduces its covariance, L L' within 1e-12 of
     the covariance's largest entry, and its log-determinant is slogdet's
     within 1e-9."""
-    LLt = state.chols @ state.chols.transpose(0, 2, 1)
-    scale = np.abs(state.sigmas).max(axis=(1, 2))
-    assert np.all(np.abs(LLt - state.sigmas).max(axis=(1, 2)) <= 1e-12 * scale)
-    sign, logdet = np.linalg.slogdet(state.sigmas)
+    LLt = table.chols @ table.chols.transpose(0, 2, 1)
+    scale = np.abs(table.sigmas).max(axis=(1, 2))
+    assert np.all(np.abs(LLt - table.sigmas).max(axis=(1, 2)) <= 1e-12 * scale)
+    sign, logdet = np.linalg.slogdet(table.sigmas)
     assert np.all(sign == 1)
-    np.testing.assert_allclose(state.logdets, logdet, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(table.logdets, logdet, rtol=0, atol=1e-9)
 
 
 class TestTrainState:
-    """The stacked state the training loop updates: rank-one Cholesky and
+    """The node table the training loop updates: rank-one Cholesky and
     log-det steps, in the compiled kernel."""
 
     @staticmethod
@@ -184,22 +183,22 @@ class TestTrainState:
     def test_tracks_factorized_values_cached_and_uncached(self, p):
         rng = np.random.default_rng(p)
         params = self.params(rng, p)
-        state = GaussianFamily().make_state(params)
+        table = stack(FAMILY, params)
         # the numpy oracle both reusing the deviations of its last winner
         # search (cached) and rescoring on every update (uncached)
-        cached, uncached = OracleGaussTrainState(params), OracleGaussTrainState(params)
+        cached, uncached = (OracleGaussTrainState(stack(FAMILY, params)) for _ in range(2))
         for _ in range(101):  # node 0 is updated twice per row
             x = rng.normal(size=p, scale=2.0)
             a = rng.uniform(0.0, 0.5)
             cached.loglik_all(x)
             for k in (0, 2, 0):
-                state.update(k, x, a)
+                update(FAMILY, table, k, x, a)
                 cached.update(k, x, a)
                 uncached.update(k, x.copy(), a)
-            assert_matches_oracle(state, cached)
-            assert_matches_oracle(state, uncached)
-            np.testing.assert_array_equal(state.sigmas, state.sigmas.transpose(0, 2, 1))
-            assert_factors_track(state)
+            assert_matches_oracle(table, cached)
+            assert_matches_oracle(table, uncached)
+            np.testing.assert_array_equal(table.sigmas, table.sigmas.transpose(0, 2, 1))
+            assert_factors_track(table)
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_factor_tracks_ill_conditioned_starts(self, p):
@@ -209,32 +208,49 @@ class TestTrainState:
         params = [gauss_batch(rng.normal(size=(p + 1, p))) for _ in range(3)]
         if p == 2:
             params.append(GaussParams([0.3, -0.2], CHOLESKY_ACCEPTED_SINGULAR))
-        state = GaussianFamily().make_state(params)
+        table = stack(FAMILY, params)
         for _ in range(200):
             k = rng.integers(len(params))
-            state.update(k, state.mus[k] + 0.3 * rng.normal(size=p), rng.uniform(0.0, 0.5))
-        assert_factors_track(state)
+            update(FAMILY, table, k, table.mus[k] + 0.3 * rng.normal(size=p), rng.uniform(0.0, 0.5))
+        assert_factors_track(table)
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_refresh_refactors_as_gauss_params_does(self, p):
+        # covariances as training leaves them, one of them rank one: the
+        # batched Cholesky fails, and every node takes the jitter ladder
+        rng = np.random.default_rng(1800 + p)
+        table = stack(FAMILY, self.params(rng, p, M=4))
+        v = rng.normal(size=(p, 1))
+        sigmas = [random_pd_matrix(rng, p), v @ v.T, random_pd_matrix(rng, p), random_pd_matrix(rng, p)]
+        table.sigmas[:] = sigmas
+        table.refresh()
+        for k, sigma in enumerate(sigmas):
+            want = GaussParams(table.mus[k], sigma)
+            assert table.sigmas[k].tobytes() == want.sigma.tobytes()
+            assert table.chols[k].tobytes() == want._chol.tobytes()
+            assert table.logdets[k] == want.log_det
+        assert not np.array_equal(table.sigmas[1], sigmas[1])  # jittered
 
     def test_rejects_arrays_the_kernel_cannot_read(self):
         rng = np.random.default_rng(0)
-        state = GaussianFamily().make_state(self.params(rng, 2, M=2))
+        table = stack(FAMILY, self.params(rng, 2, M=2))
         X = rng.normal(size=(10, 2))
-        table = neighbor_table(lattice_graph(1, 2), [0, 1])
+        neighbors = neighbor_table(lattice_graph(1, 2), [0, 1])
         sched = Schedule(tau_max=4)
         alphas, radii = schedule_alphas(sched), schedule_radii(sched)
         with pytest.raises(ValueError):  # wrong dtype
-            state.run(X, np.arange(4, dtype=np.int32), alphas, radii, table)
+            FAMILY.train(table, X, np.arange(4, dtype=np.int32), alphas, radii, neighbors)
         with pytest.raises(ValueError):  # a row that is not there
-            state.run(X, np.array([0, 1, 2, 10]), alphas, radii, table)
+            FAMILY.train(table, X, np.array([0, 1, 2, 10]), alphas, radii, neighbors)
         with pytest.raises(ValueError):  # wrong length
-            state.run(X, np.arange(4), alphas[:3], radii, table)
+            FAMILY.train(table, X, np.arange(4), alphas[:3], radii, neighbors)
         with pytest.raises(ValueError):  # wrong dimension
-            state.run(X[:, :1], np.arange(4), alphas, radii, table)
+            FAMILY.train(table, X[:, :1], np.arange(4), alphas, radii, neighbors)
         with pytest.raises(ValueError):
-            state.update(0, np.zeros(3), 0.1)
-        state.sigmas = np.asfortranarray(state.sigmas)
+            update(FAMILY, table, 0, np.zeros(3), 0.1)
+        table.sigmas = np.asfortranarray(table.sigmas)
         with pytest.raises(ValueError):
-            state.update(0, np.zeros(2), 0.1)
+            update(FAMILY, table, 0, np.zeros(2), 0.1)
 
 
 class TestKernelMatchesOracle:
@@ -244,14 +260,14 @@ class TestKernelMatchesOracle:
     @staticmethod
     def run_both(X, params, steps, rng, update_sigma=True, r1=2.0):
         graph = lattice_graph(2, 3, "hexagonal")
-        table = neighbor_table(graph, list(range(len(params))))
+        neighbors = neighbor_table(graph, list(range(len(params))))
         sched = Schedule(r1=r1, tau_max=steps)
-        args = (X, rng.integers(len(X), size=steps), schedule_alphas(sched), schedule_radii(sched), table)
-        state = GaussianFamily(update_sigma).make_state(params)
-        oracle = OracleGaussTrainState(params, update_sigma)
-        winners = state.run(*args)
+        args = (X, rng.integers(len(X), size=steps), schedule_alphas(sched), schedule_radii(sched), neighbors)
+        table = stack(FAMILY, params)
+        oracle = OracleGaussTrainState(stack(FAMILY, params), update_sigma)
+        winners = GaussianFamily(update_sigma).train(table, *args)
         np.testing.assert_array_equal(winners, oracle.run(*args))
-        assert_matches_oracle(state, oracle)
+        assert_matches_oracle(table, oracle)
         return winners
 
     @pytest.mark.parametrize("update_sigma", [True, False])
@@ -281,7 +297,7 @@ class TestKernelMatchesOracle:
 
     @pytest.mark.parametrize("p", [1, 2, 5])
     def test_one_step_wins_at_the_matrix_argmax(self, p):
-        # a step scores bitwise like the matrix: from a fresh state, every
+        # a step scores bitwise like the matrix: from a fresh table, every
         # row's winner is the first maximum of its column, among nodes that
         # tie exactly (twins) or differ in a score's last bits (a mean one
         # ulp away)
@@ -290,11 +306,11 @@ class TestKernelMatchesOracle:
         near = [GaussParams(np.nextafter(t.mu, np.inf), t.sigma) for t in base]
         params = [*base, *near, *base]
         X = rng.normal(size=(300, p))
-        ll = gauss_loglik_matrix(X, params)
-        table = neighbor_table(lattice_graph(3, 3), list(range(9)))
+        ll = gauss_loglik_matrix(X, stack(FAMILY, params))
+        neighbors = neighbor_table(lattice_graph(3, 3), list(range(9)))
         for j in range(len(X)):
-            state = GaussianFamily().make_state(params)
-            (winner,) = state.run(X, np.array([j]), np.array([0.05]), np.array([0.5]), table)
+            table = stack(FAMILY, params)
+            (winner,) = FAMILY.train(table, X, np.array([j]), np.array([0.05]), np.array([0.5]), neighbors)
             assert winner == np.argmax(ll[:, j]), j
 
 
@@ -506,7 +522,7 @@ class TestScoringMatchesScipy:
         rng = np.random.default_rng(1200)
         thetas = [GaussParams(rng.normal(size=5), random_pd_matrix(rng, 5)) for _ in range(7)]
         X = rng.normal(size=(129, 5))
-        ll = gauss_loglik_matrix(X, thetas)
+        ll = gauss_loglik_matrix(X, stack(FAMILY, thetas))
         assert ll.shape == (7, 129)
         for row, theta in zip(ll, thetas):
             assert _same_bits(row, gauss_loglik_rows(X, theta))
@@ -527,14 +543,15 @@ class TestMembersFromTheMatrix:
         rng = np.random.default_rng(1300 + p)
         family = GaussianFamily()
         thetas = [GaussParams(rng.normal(size=p), random_pd_matrix(rng, p)) for _ in range(3)]
+        table = stack(family, thetas)
         X = rng.normal(size=(150, p))
-        ll = family.loglik_matrix(X, thetas)
+        ll = family.loglik_matrix(X, table)
         for size in (1, 2, 3, 17, 150):
             idx = np.sort(rng.choice(150, size, replace=False))
-            for row, theta in zip(ll, thetas):
-                alone = family.loglik_members(X, idx, theta)
+            for k, (row, theta) in enumerate(zip(ll, thetas)):
+                alone = family.loglik_members(X, idx, table, k)
                 assert _same_bits(alone, oracle_gauss_loglik_rows(X[idx], theta))
-                assert _same_bits(family.loglik_members(X, idx, theta, row), alone)
+                assert _same_bits(family.loglik_members(X, idx, table, k, row), alone)
                 assert _same_bits(row[idx], alone)
 
     def test_mdl_score_reads_the_matrix(self):
@@ -545,5 +562,5 @@ class TestMembersFromTheMatrix:
         labels = rng.choice([1, 4, 6], size=120)
         labels[7] = 9  # a node with one member
         assignment = Assignment(labels)
-        ll = family.loglik_matrix(data.values, [params[m] for m in sorted(params)])
+        ll = family.loglik_matrix(data.values, family.table.of(params))
         assert mdl_score(data, assignment, params, family, ll) == mdl_score(data, assignment, params, family)

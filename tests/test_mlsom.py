@@ -76,10 +76,10 @@ class TestTrain:
         sched = Schedule(r1=2.0, tau_max=1)
 
         drawn = np.random.default_rng(1).integers(20)
-        out = mlsom_train(data, g, {0: theta0}, sched, np.random.default_rng(1), FAMILY)
+        out = mlsom_train(data, g, FAMILY.table.of({0: theta0}), sched, np.random.default_rng(1), FAMILY)
         mu, sigma = moment_step(theta0.mu, theta0.sigma, data.values[drawn] - theta0.mu, oracle_alpha(sched, 1))
-        np.testing.assert_allclose(out[0].mu, mu, atol=1e-12)
-        np.testing.assert_allclose(out[0].sigma, sigma, atol=1e-12)
+        np.testing.assert_allclose(out.mus[0], mu, atol=1e-12)
+        np.testing.assert_allclose(out.sigmas[0], sigma, atol=1e-12)
 
     def test_hard_phase_updates_winner_only(self):
         rng = np.random.default_rng(4)
@@ -91,10 +91,10 @@ class TestTrain:
         # r1 = 0.5 keeps the raw radius below 1 for every tau -> clamp to 0.5
         sched = Schedule(r1=0.5, tau_max=1)
         family = RecordingFamily(FAMILY)
-        out = mlsom_train(data, g, params, sched, np.random.default_rng(2), family)
+        out = mlsom_train(data, g, family.table.of(params), sched, np.random.default_rng(2), family)
         (c,) = family.winners  # ids 0-3 are their own indices
         for m in range(4):
-            changed = not np.array_equal(out[m].mu, params[m].mu)
+            changed = not np.array_equal(out.mus[m], params[m].mu)
             assert changed == (m == c)
 
     def test_disconnected_nodes_find_their_blobs(self):
@@ -107,13 +107,12 @@ class TestTrain:
         }
         sched = Schedule(r1=1.0, tau_max=2000)
         out = mlsom_train(
-            data, g, params, sched, np.random.default_rng(3), GaussianFamily(update_sigma=False)
+            data, g, FAMILY.table.of(params), sched, np.random.default_rng(3), GaussianFamily(update_sigma=False)
         )
         # reference: per-blob means after nearest-mean assignment
-        for m, theta in out.items():
-            mu = theta.mu
+        for m, mu in zip(out.ids, out.mus):
             d = np.linalg.norm(data.values - mu, axis=1)
-            other = np.linalg.norm(data.values - out[1 - m].mu, axis=1)
+            other = np.linalg.norm(data.values - out.mus[1 - m], axis=1)
             mine = data.values[d < other]
             np.testing.assert_allclose(mu, mine.mean(axis=0), atol=0.3)
 
@@ -123,25 +122,25 @@ class TestTrain:
         g = lattice_graph(2, 2, "rectangular")
         params = {m: GaussParams(rng.normal(size=2), np.eye(2)) for m in range(4)}
         sched = Schedule(r1=2.0, tau_max=100)
-        out1 = mlsom_train(data, g, params, sched, np.random.default_rng(5), FAMILY)
-        out2 = mlsom_train(data, g, params, sched, np.random.default_rng(5), FAMILY)
+        out1 = mlsom_train(data, g, FAMILY.table.of(params), sched, np.random.default_rng(5), FAMILY)
+        out2 = mlsom_train(data, g, FAMILY.table.of(params), sched, np.random.default_rng(5), FAMILY)
         for m in range(4):
-            np.testing.assert_array_equal(out1[m].mu, out2[m].mu)
-            np.testing.assert_array_equal(out1[m].sigma, out2[m].sigma)
+            np.testing.assert_array_equal(out1.mus[m], out2.mus[m])
+            np.testing.assert_array_equal(out1.sigmas[m], out2.sigmas[m])
 
     def test_invariants_hold_after_every_step(self):
         rng = np.random.default_rng(13)
         data = Dataset(rng.normal(size=(40, 2)))
         g = lattice_graph(2, 2, "rectangular")
-        params = {m: GaussParams(rng.normal(size=2), np.eye(2)) for m in range(4)}
+        table = FAMILY.table.of({m: GaussParams(rng.normal(size=2), np.eye(2)) for m in range(4)})
         train_rng = np.random.default_rng(6)
         # step one tau at a time so the table can be inspected mid-run
         for tau in range(1, 31):
             sched = Schedule(r1=0.5, tau_max=1)
-            params = mlsom_train(data, g, params, sched, train_rng, FAMILY)
-            for theta in params.values():
-                np.testing.assert_array_equal(theta.sigma, theta.sigma.T)
-                assert np.linalg.eigvalsh(theta.sigma).min() > -1e-10
+            table = mlsom_train(data, g, table, sched, train_rng, FAMILY)
+            for sigma in table.sigmas:
+                np.testing.assert_array_equal(sigma, sigma.T)
+                assert np.linalg.eigvalsh(sigma).min() > -1e-10
 
 
     @pytest.mark.parametrize("update_sigma", [True, False])
@@ -157,13 +156,13 @@ class TestTrain:
         runs = []
         for inner in (GaussianFamily(update_sigma), OracleGaussianFamily(update_sigma)):
             family = RecordingFamily(inner)
-            out = mlsom_train(data, g, params, sched, np.random.default_rng(9), family)
+            out = mlsom_train(data, g, family.table.of(params), sched, np.random.default_rng(9), family)
             runs.append((family.winners, out))
         (w1, out1), (w2, out2) = runs
         assert w1 == w2 and len(set(w1)) > 1
-        for m in g.nodes:
-            np.testing.assert_array_equal(out1[m].mu, out2[m].mu)
-            np.testing.assert_array_equal(out1[m].sigma, out2[m].sigma)
+        assert out1.ids == out2.ids == g.nodes
+        np.testing.assert_array_equal(out1.mus, out2.mus)
+        np.testing.assert_array_equal(out1.sigmas, out2.sigmas)
 
     def test_multinomial_matches_the_numpy_training_state(self):
         # ids with gaps, and some all-zero rows, which update nothing
@@ -179,17 +178,18 @@ class TestTrain:
         runs = []
         for inner in (MultinomialFamily(), OracleMultinomialFamily()):
             family = RecordingFamily(inner)
-            out = mlsom_train(data, g, params, sched, np.random.default_rng(9), family)
+            out = mlsom_train(data, g, family.table.of(params), sched, np.random.default_rng(9), family)
             runs.append((family.winners, out))
         (w1, out1), (w2, out2) = runs
         assert w1 == w2 and len(set(w1)) > 1
-        for m in g.nodes:
-            np.testing.assert_array_equal(out1[m].theta, out2[m].theta)
+        assert out1.ids == out2.ids == g.nodes
+        np.testing.assert_array_equal(out1.thetas, out2.thetas)
 
 
 class TestLoglikMatrix:
     """The family builds the matrix; every row is bitwise its node's
-    ``gauss_loglik_rows`` or ``multinom_loglik_rows``."""
+    ``gauss_loglik_rows`` or the multinomial's log coefficient plus
+    ``X @ log(theta)``."""
 
     @pytest.mark.parametrize("layout", ["c", "fortran"])
     def test_rows_equal_loglik_rows(self, layout):
@@ -219,7 +219,7 @@ class TestKohonenReduction:
         sched = Schedule(r1=2.0, tau_max=500)
 
         family = RecordingFamily(GaussianFamily(update_sigma=False))
-        mlsom_train(data, g, params, sched, np.random.default_rng(7), family)
+        mlsom_train(data, g, family.table.of(params), sched, np.random.default_rng(7), family)
         winners = family.winners  # ids 0-8 are their own indices
 
         # plain Euclidean SOM replaying the identical sample order

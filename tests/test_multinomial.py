@@ -22,16 +22,17 @@ from smlsom import (
     smlsom_fit,
 )
 from smlsom.mlsom import NeighborTable, neighbor_table
-from smlsom.multinomial import multinom_loglik_rows
 
-from oracles import OracleMultinomTrainState, exact_multinom_pmf
+from oracles import OracleMultinomTrainState, exact_multinom_pmf, stack, update
+
+FAMILY = MultinomialFamily()
 
 
-def assert_matches_oracle(state, oracle):
+def assert_matches_oracle(table, oracle):
     """Probabilities bitwise; their logs within one unit in the last place
     (the kernel takes the C library's log, numpy its own)."""
-    np.testing.assert_array_equal(state.thetas, oracle.thetas)
-    np.testing.assert_array_max_ulp(state.logthetas, oracle.logthetas, maxulp=1)
+    np.testing.assert_array_equal(table.thetas, oracle.thetas)
+    np.testing.assert_array_max_ulp(table.logthetas, oracle.logthetas, maxulp=1)
 
 
 def count_rows(rng, n, p, zero_share=0.1):
@@ -43,21 +44,15 @@ def count_rows(rng, n, p, zero_share=0.1):
 
 
 def loglik_at(x, theta):
-    """Log pmf at one count row, through the row-wise path on a one-row X."""
-    return multinom_loglik_rows(np.atleast_2d(np.asarray(x, dtype=float)), theta)[0]
-
-
-def one_node_state(theta):
-    """A training state holding the single node theta; ``update(0, x, a)``
-    is the kernel's node step."""
-    return MultinomialFamily().make_state([theta])
+    """Log pmf at one count row, through the family's matrix of a one-row X."""
+    return FAMILY.loglik_matrix(np.atleast_2d(np.asarray(x, dtype=float)), FAMILY.table.of({0: theta}))[0, 0]
 
 
 def stepped(theta, x, a):
     """theta's probabilities after one kernel node step toward x at rate a."""
-    state = one_node_state(theta)
-    state.update(0, np.asarray(x, dtype=float), a)
-    return state.thetas[0]
+    table = stack(FAMILY, [theta])
+    update(FAMILY, table, 0, np.asarray(x, dtype=float), a)
+    return table.thetas[0]
 
 
 class TestLoglik:
@@ -87,7 +82,7 @@ class TestLoglik:
 
 
 class TestUpdate:
-    """The kernel's node step on a one-node training state."""
+    """The kernel's node step on a one-node table."""
 
     def test_zero_row_is_identity(self):
         theta = MultinomParams([0.3, 0.7])
@@ -141,10 +136,10 @@ class TestBatch:
         X = rng.integers(0, 10, size=(30, 4)).astype(float)
         X[X.sum(axis=1) == 0, 0] = 1
         batch = multinom_batch(X)
-        state = one_node_state(MultinomParams(np.full(4, 0.25)))
+        table = stack(FAMILY, [MultinomParams(np.full(4, 0.25))])
         for t in range(1, 30_000):
-            state.update(0, X[rng.integers(30)], 1.0 / (t + 1.0))
-        np.testing.assert_allclose(state.thetas[0], batch.theta, atol=0.02)
+            update(FAMILY, table, 0, X[rng.integers(30)], 1.0 / (t + 1.0))
+        np.testing.assert_allclose(table.thetas[0], batch.theta, atol=0.02)
 
 
 class TestDf:
@@ -166,14 +161,14 @@ class TestFloor:
 
 
 class TestTrainState:
-    """The stacked state the training loop updates, in the compiled kernel."""
+    """The node table the training loop updates, in the compiled kernel."""
 
     def test_update_matches_the_numpy_state(self):
         rng = np.random.default_rng(3)
         p = 7
         params = [MultinomParams(rng.dirichlet(np.ones(p))) for _ in range(3)]
-        state = MultinomialFamily().make_state(params)
-        oracle = OracleMultinomTrainState(params)
+        table = stack(FAMILY, params)
+        oracle = OracleMultinomTrainState(stack(FAMILY, params))
         X = count_rows(rng, 200, p)
         X[:100, 4:] = 0.0  # drives the last categories to the floor
         assert (X.sum(axis=1) == 0).any()
@@ -181,41 +176,41 @@ class TestTrainState:
         for x in X:
             a = rng.uniform(0.0, 0.95)
             for k in (0, 2, 0):
-                state.update(k, x, a)
+                update(FAMILY, table, k, x, a)
                 oracle.update(k, x, a)
-            assert_matches_oracle(state, oracle)
-            lowest = min(lowest, state.thetas.min())
+            assert_matches_oracle(table, oracle)
+            lowest = min(lowest, table.thetas.min())
         assert lowest < 1e-9  # some probabilities reached the floor
 
     def test_zero_row_leaves_the_node_as_it_is(self):
-        state = MultinomialFamily().make_state([MultinomParams([0.2, 0.3, 0.5])])
-        before = state.thetas.copy(), state.logthetas.copy()
-        state.update(0, np.zeros(3), 0.5)
-        np.testing.assert_array_equal(state.thetas, before[0])
-        np.testing.assert_array_equal(state.logthetas, before[1])
+        table = stack(FAMILY, [MultinomParams([0.2, 0.3, 0.5])])
+        before = table.thetas.copy(), table.logthetas.copy()
+        update(FAMILY, table, 0, np.zeros(3), 0.5)
+        np.testing.assert_array_equal(table.thetas, before[0])
+        np.testing.assert_array_equal(table.logthetas, before[1])
 
     def test_rejects_arrays_the_kernel_cannot_read(self):
         rng = np.random.default_rng(0)
-        state = MultinomialFamily().make_state([MultinomParams(rng.dirichlet(np.ones(3))) for _ in range(2)])
+        table = stack(FAMILY, [MultinomParams(rng.dirichlet(np.ones(3))) for _ in range(2)])
         X = count_rows(rng, 10, 3)
-        table = neighbor_table(lattice_graph(1, 2), [0, 1])
+        neighbors = neighbor_table(lattice_graph(1, 2), [0, 1])
         sched = Schedule(tau_max=4)
         alphas, radii = schedule_alphas(sched), schedule_radii(sched)
         with pytest.raises(ValueError):  # wrong dtype
-            state.run(X, np.arange(4, dtype=np.int32), alphas, radii, table)
+            FAMILY.train(table, X, np.arange(4, dtype=np.int32), alphas, radii, neighbors)
         with pytest.raises(ValueError):  # a row that is not there
-            state.run(X, np.array([0, 1, 2, 10]), alphas, radii, table)
+            FAMILY.train(table, X, np.array([0, 1, 2, 10]), alphas, radii, neighbors)
         with pytest.raises(ValueError):  # wrong length
-            state.run(X, np.arange(4), alphas[:3], radii, table)
+            FAMILY.train(table, X, np.arange(4), alphas[:3], radii, neighbors)
         with pytest.raises(ValueError):  # wrong dimension
-            state.run(X[:, :2], np.arange(4), alphas, radii, table)
+            FAMILY.train(table, X[:, :2], np.arange(4), alphas, radii, neighbors)
         with pytest.raises(ValueError):
-            state.update(0, np.zeros(2), 0.1)
+            update(FAMILY, table, 0, np.zeros(2), 0.1)
         with pytest.raises(IndexError):
-            state.update(2, np.zeros(3), 0.1)
-        state.thetas = np.asfortranarray(state.thetas)
+            update(FAMILY, table, 2, np.zeros(3), 0.1)
+        table.thetas = np.asfortranarray(table.thetas)
         with pytest.raises(ValueError):
-            state.update(0, np.zeros(3), 0.1)
+            update(FAMILY, table, 0, np.zeros(3), 0.1)
 
 
 class TestKernelMatchesOracle:
@@ -226,14 +221,14 @@ class TestKernelMatchesOracle:
     def run_both(X, params, steps, rng, alpha0=0.05, r1=2.0):
         M = len(params)
         graph = MapGraph(nodes=[0]) if M == 1 else lattice_graph(1, M)
-        table = neighbor_table(graph, list(range(M)))
+        neighbors = neighbor_table(graph, list(range(M)))
         sched = Schedule(alpha0=alpha0, alpha1=min(0.01, alpha0), r1=r1, tau_max=steps)
-        args = (X, rng.integers(len(X), size=steps), schedule_alphas(sched), schedule_radii(sched), table)
-        state = MultinomialFamily().make_state(params)
-        oracle = OracleMultinomTrainState(params)
-        winners = state.run(*args)
+        args = (X, rng.integers(len(X), size=steps), schedule_alphas(sched), schedule_radii(sched), neighbors)
+        table = stack(FAMILY, params)
+        oracle = OracleMultinomTrainState(stack(FAMILY, params))
+        winners = FAMILY.train(table, *args)
         np.testing.assert_array_equal(winners, oracle.run(*args))
-        assert_matches_oracle(state, oracle)
+        assert_matches_oracle(table, oracle)
         return winners
 
     # node counts from one node up to a map of 25
@@ -260,15 +255,14 @@ class TestKernelMatchesOracle:
             empty = NeighborTable(np.zeros(M + 1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
             sched = Schedule(tau_max=500)
             args = (X, np.arange(500), schedule_alphas(sched), schedule_radii(sched), empty)
-            winners = MultinomialFamily().make_state(params).run(*args)
-            np.testing.assert_array_equal(winners, OracleMultinomTrainState(params).run(*args))
+            winners = FAMILY.train(stack(FAMILY, params), *args)
+            np.testing.assert_array_equal(winners, OracleMultinomTrainState(stack(FAMILY, params)).run(*args))
 
     def test_probabilities_at_the_floor(self):
         rng = np.random.default_rng(5)
         X = count_rows(rng, 200, 6)
         params = [MultinomParams(np.eye(6)[k % 6]) for k in range(6)]  # floored from the start
-        state = MultinomialFamily().make_state(params)
-        assert state.thetas.min() < 1e-9
+        assert stack(FAMILY, params).thetas.min() < 1e-9
         self.run_both(X, params, 300, rng, alpha0=0.9)
 
     def test_ties_go_to_the_first_node(self):

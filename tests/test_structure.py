@@ -128,14 +128,14 @@ class TestCutWeakLinks:
     def test_cuts_only_the_cross_blob_edge(self):
         rng = np.random.default_rng(6)
         data, g, params, assignment = two_blob_fixture(rng)
-        removed = cut_weak_links(g, data, assignment, params, 15.0, GAUSS, loglik_matrix(data, params, GAUSS))
+        removed = cut_weak_links(g, data, assignment, GAUSS.table.of(params), 15.0, GAUSS, loglik_matrix(data, params, GAUSS))
         assert removed == {(1, 2)}
         assert sorted(g.edges) == [(0, 1), (2, 3)]
 
     def test_infinite_beta_never_cuts(self):
         rng = np.random.default_rng(7)
         data, g, params, assignment = two_blob_fixture(rng, sep=100.0)
-        removed = cut_weak_links(g, data, assignment, params, math.inf, GAUSS, loglik_matrix(data, params, GAUSS))
+        removed = cut_weak_links(g, data, assignment, GAUSS.table.of(params), math.inf, GAUSS, loglik_matrix(data, params, GAUSS))
         assert removed == set()
         assert len(g.edges) == 3
 
@@ -149,7 +149,7 @@ class TestCutWeakLinks:
             1: GaussParams([50.0, 50.0], np.eye(2)),  # wins nothing
         }
         assignment = Assignment(np.zeros(60, dtype=int))
-        removed = cut_weak_links(g, data, assignment, params, math.inf, GAUSS, loglik_matrix(data, params, GAUSS))
+        removed = cut_weak_links(g, data, assignment, GAUSS.table.of(params), math.inf, GAUSS, loglik_matrix(data, params, GAUSS))
         assert removed == {(0, 1)}
 
     def test_tight_cluster_pair_survives(self):
@@ -165,7 +165,7 @@ class TestCutWeakLinks:
         from smlsom import classify
 
         assignment = classify(data, params, GAUSS)
-        removed = cut_weak_links(g, data, assignment, params, 15.0, GAUSS, loglik_matrix(data, params, GAUSS))
+        removed = cut_weak_links(g, data, assignment, GAUSS.table.of(params), 15.0, GAUSS, loglik_matrix(data, params, GAUSS))
         assert removed == set()
 
 
@@ -237,9 +237,9 @@ class TestTryDeleteNode:
         from smlsom import classify
 
         assignment = classify(data, params, GAUSS)
-        result = try_delete_node(data, g, assignment, params, GAUSS, loglik_matrix(data, params, GAUSS))
+        result = try_delete_node(data, g, assignment, GAUSS.table.of(params), GAUSS, loglik_matrix(data, params, GAUSS))
         assert result.deleted in (0, 1)
-        assert sorted(result.params) == sorted(set(range(3)) - {result.deleted})
+        assert result.params.ids == sorted(set(range(3)) - {result.deleted})
         assert result.score.total < result.previous.total
 
     def test_necessary_node_is_kept(self):
@@ -255,9 +255,9 @@ class TestTryDeleteNode:
         from smlsom import classify
 
         assignment = classify(data, params, GAUSS)
-        result = try_delete_node(data, g, assignment, params, GAUSS, loglik_matrix(data, params, GAUSS))
+        result = try_delete_node(data, g, assignment, GAUSS.table.of(params), GAUSS, loglik_matrix(data, params, GAUSS))
         assert result.deleted is None
-        assert sorted(result.params) == [0, 1]
+        assert result.params.ids == [0, 1]
 
     def test_single_node_never_deleted(self):
         rng = np.random.default_rng(15)
@@ -265,7 +265,7 @@ class TestTryDeleteNode:
         g = MapGraph(nodes=[0])
         params = {0: GaussParams([0.0, 0.0], np.eye(2))}
         result = try_delete_node(
-            data, g, Assignment(np.zeros(40, dtype=int)), params, GAUSS, loglik_matrix(data, params, GAUSS)
+            data, g, Assignment(np.zeros(40, dtype=int)), GAUSS.table.of(params), GAUSS, loglik_matrix(data, params, GAUSS)
         )
         assert result.deleted is None
 
@@ -284,7 +284,7 @@ class TestTryDeleteNode:
         from smlsom import classify
 
         assignment = classify(data, params, GAUSS)
-        result = try_delete_node(data, g, assignment, params, GAUSS, loglik_matrix(data, params, GAUSS))
+        result = try_delete_node(data, g, assignment, GAUSS.table.of(params), GAUSS, loglik_matrix(data, params, GAUSS))
         if result.deleted == 0:
             assert sorted(result.graph.edges) == [(1, 2), (1, 3), (2, 3)]
 
@@ -301,7 +301,7 @@ class TestTryDeleteNode:
             from smlsom import classify
 
             assignment = classify(data, params, GAUSS)
-            result = try_delete_node(data, g, assignment, params, GAUSS, loglik_matrix(data, params, GAUSS))
+            result = try_delete_node(data, g, assignment, GAUSS.table.of(params), GAUSS, loglik_matrix(data, params, GAUSS))
             if result.deleted is not None:
                 assert result.score.total < result.previous.total
             else:
@@ -313,18 +313,24 @@ def _param_bytes(theta) -> list[bytes]:
     return [a.tobytes() for a in arrays]
 
 
+def _row_bytes(table, k) -> list[bytes]:
+    arrays = [table.thetas[k]] if hasattr(table, "thetas") else [table.mus[k], table.sigmas[k]]
+    return [a.tobytes() for a in arrays]
+
+
 def _assert_matches_oracle(data, g, assignment, params, family):
     """try_delete_node and the brute-force oracle agree exactly."""
-    got = try_delete_node(data, g.copy(), assignment, params, family, loglik_matrix(data, params, family))
+    table = family.table.of(params)
+    got = try_delete_node(data, g.copy(), assignment, table, family, loglik_matrix(data, table, family))
     want = oracle_try_delete_node(data, g.copy(), assignment, params, family)
     assert got.deleted == want.deleted
     assert got.assignment.m.tobytes() == want.assignment.m.tobytes()
-    assert sorted(got.params) == sorted(want.params)
-    for m in want.params:
-        assert _param_bytes(got.params[m]) == _param_bytes(want.params[m]), m
+    assert got.params.ids == sorted(want.params)
+    for k, m in enumerate(got.params.ids):
+        assert _row_bytes(got.params, k) == _param_bytes(want.params[m]), m
     assert got.score == want.score
     assert got.previous == want.previous
-    assert got.graph == want.graph
+    assert (got.graph.nodes, got.graph.edges) == (want.graph.nodes, want.graph.edges)
     return got
 
 
@@ -582,7 +588,7 @@ class TestEstimates:
         the exact stage's totals are bitwise the brute-force ones."""
         fallback = 0
         for name, family, (data, _, assignment, params) in _search_cases():
-            search = _DeletionSearch(data, assignment, params, family, loglik_matrix(data, params, family))
+            search = _DeletionSearch(data, assignment, family.table.of(params), family, loglik_matrix(data, params, family))
             est = search.estimates()
             fallback += bool(search.node_fits or search.pair_fits)
             exact = np.array([search.exact(c)[0].total for c in range(len(params))])
@@ -596,7 +602,7 @@ class TestEstimates:
     def test_shortlist_prunes_well_conditioned_candidates(self):
         rng = np.random.default_rng(160)
         data, g, params, assignment = two_blob_fixture(rng)
-        search = _DeletionSearch(data, assignment, params, GAUSS, loglik_matrix(data, params, GAUSS))
+        search = _DeletionSearch(data, assignment, GAUSS.table.of(params), GAUSS, loglik_matrix(data, params, GAUSS))
         est = search.estimates()
         assert not search.node_fits and not search.pair_fits  # no part needed an exact fit
         ref = min(float(est.min()), mdl_score(data, assignment, params, GAUSS).total)
