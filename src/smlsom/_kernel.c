@@ -1,6 +1,9 @@
 /* Training kernels: one whole stochastic training cycle per call, for the
- * Gaussian and the multinomial node families; and the Gaussian
- * log-likelihood matrix of a data set under every node, in one call.
+ * Gaussian and the multinomial node families; Gaussian log densities of
+ * groups of rows, each group under its own node, which gives the
+ * log-likelihood matrix of a data set under every node in one call, and
+ * the deletion search's refits their scores; and the first maximum of every
+ * column of a log-likelihood matrix.
  *
  * Loaded through ctypes by smlsom/_kernel.py, which compiles this file on
  * first use with -O2 -ffp-contract=off (no fused multiply-adds, no
@@ -22,9 +25,10 @@
  *   L'      = sqrt(1 - a) chol(L L' + a d d')  (rank-one Givens update)
  *   logdet' = logdet + (p log1p(-a) + log(1 + a q))
  *
- * so the factor is kept current without ever factorizing; the only
- * Cholesky of the program is GaussParams' (numpy's LAPACK), at the start of
- * each cycle.
+ * so the factor is kept current without ever factorizing here. Every
+ * Cholesky factorization is numpy's LAPACK: GaussTable.refresh's after each
+ * training cycle, the deletion search's batch refits, and GaussParams' for
+ * initial and loaded nodes.
  *
  * Multinomial nodes hold probabilities theta (M x p) and their logs. A row
  * x with total T scores coef + log(theta) . x, where the caller passes
@@ -100,7 +104,10 @@ static int64_t first_max(const double *ll, int64_t M)
 
 /* The multinomial cycle sits before the Gaussian training code: placed after
    it, gcc 12 -O2 laid it out 9-21% slower on a Xeon host (same source, paired
-   calls on the same buffers), from code placement alone. */
+   calls on the same buffers), from code placement alone. It also starts on a
+   64-byte boundary, so that code added before it (the compiler emits the
+   scoring entries' clones first) moves neither training cycle's loops
+   against the cache lines: unaligned, such an addition cost it 4%. */
 
 /* Move one multinomial node toward the row x with total T > 0 at rate a,
    as numpy does: theta + a (x / T - theta), floored at `floor`
@@ -123,6 +130,7 @@ static void multinom_step(int64_t p, const double *x, double T, double a, double
    of gauss_train_cycle below; coef[t] is the multinomial coefficient of step
    t's row and `floor` the probability floor. Returns KERNEL_OK or
    KERNEL_NOMEM. */
+__attribute__((aligned(64)))
 int64_t multinom_train_cycle(int64_t p, int64_t M, const double *X, int64_t steps,
                              const int64_t *draws, const double *alphas, const double *radii,
                              const int64_t *nb_ptr, const int64_t *nb_idx, const int64_t *nb_hops,
@@ -155,7 +163,7 @@ int64_t multinom_train_cycle(int64_t p, int64_t M, const double *X, int64_t step
 
 /* The deviation d = x - mu, and the forward substitution L w = d for a
    lower factor L with reciprocal pivots rdiag[i] = 1 / L_ii, in the order
-   of gauss_loglik_matrix: w_i starts from d_i, subtracts L_i0 w_0, ...,
+   of gauss_loglik_groups: w_i starts from d_i, subtracts L_i0 w_0, ...,
    L_i,i-1 w_i-1 in that order and is multiplied by rdiag[i]. Returns |w|^2,
    summed as w is solved, ascending. */
 static double deviation_sq(int64_t p, const double *x, const double *mu, const double *L,
@@ -225,7 +233,7 @@ static void node_step(int64_t p, const double *d, double q, double a, int update
    its winner's index to winners[t]. Node c's neighbours, itself included,
    are nb_idx[nb_ptr[c] .. nb_ptr[c+1]) at hop counts nb_hops[...], sorted
    by (hops, index). Node m scores -0.5 * ((plog2pi + logdets[m]) + |w|^2),
-   plog2pi = p log(2 pi): bitwise its gauss_loglik_matrix entry. Returns
+   plog2pi = p log(2 pi): bitwise its gauss_loglik_groups entry. Returns
    KERNEL_OK or KERNEL_NOMEM. */
 int64_t gauss_train_cycle(int64_t p, int64_t M, const double *X, int64_t steps,
                           const int64_t *draws, const double *alphas, const double *radii,
@@ -300,32 +308,47 @@ SCORING void tile_subtract(double *restrict c, const double *restrict w, double 
     TILE_LOOP(t) c[t] -= l * w[t];
 }
 
-/* The M x n matrix of Gaussian log densities: out[m * n + j] is row j of
-   the n x p matrix X under node m, with mean mus[m], lower Cholesky factor
-   chols[m] (p x p) and constant consts[m] = p log(2 pi) + log|Sigma_m|,
-   as -0.5 * (consts[m] + |w|^2) where L_m w = x_j - mu_m. The forward
-   substitution gives w_i = (c_i - L_i0 w_0 - ... - L_i,i-1 w_i-1) * (1 / L_ii),
-   subtracting in that order, and |w|^2 is summed as w is solved, ascending.
-   Returns KERNEL_OK or KERNEL_NOMEM. */
+/* c[i * TILE + t] = x_i - mu_i for the tile's rows t < rows, row idx[t] of
+   the n x p matrix X, or row first + t when idx is NULL; 0 past them. */
+SCORING void tile_load(int64_t p, const double *X, const int64_t *idx, int64_t first, int64_t rows,
+                       const double *mu, double *c)
+{
+    for (int64_t i = 0; i < p; i++) {
+        for (int64_t t = 0; t < rows; t++)
+            c[i * TILE + t] = X[(idx ? idx[t] : first + t) * p + i] - mu[i];
+        for (int64_t t = rows; t < TILE; t++)
+            c[i * TILE + t] = 0.0;
+    }
+}
+
+/* Gaussian log densities of rows of the n x p matrix X, group by group:
+   for j in ptr[g] .. ptr[g+1], out[j] is row idx[j] of X, or row
+   j - ptr[g] when idx is NULL, under node g, with mean mus[g], lower
+   Cholesky factor chols[g] (p x p) and constant
+   consts[g] = p log(2 pi) + log|Sigma_g|, as -0.5 * (consts[g] + |w|^2)
+   where L_g w = x - mu_g. The forward substitution gives
+   w_i = (c_i - L_i0 w_0 - ... - L_i,i-1 w_i-1) * (1 / L_ii), subtracting in
+   that order, and |w|^2 is summed as w is solved, ascending. With idx NULL
+   and ptr[g] = g n, out is the M x n matrix of every row under every node.
+   Unless parts is NULL, parts[g] is the group's entries summed as numpy
+   sums them (pairwise_sum). Returns KERNEL_OK or KERNEL_NOMEM. */
 VECTOR_CLONES
-int64_t gauss_loglik_matrix(int64_t p, int64_t M, int64_t n, const double *X,
-                            const double *mus, const double *chols, const double *consts,
-                            double *out)
+int64_t gauss_loglik_groups(int64_t p, int64_t G, const double *X, const int64_t *idx,
+                            const int64_t *ptr, const double *mus, const double *chols,
+                            const double *consts, double *out, double *parts)
 {
     double *buf = malloc((size_t)((p + 1) * TILE) * sizeof(double));
     if (!buf)
         return KERNEL_NOMEM;
     double *c = buf, *q = buf + p * TILE;
-    for (int64_t m = 0; m < M; m++) {
-        const double *mu = mus + m * p, *L = chols + m * p * p;
-        for (int64_t j0 = 0; j0 < n; j0 += TILE) {
-            int64_t rows = n - j0 < TILE ? n - j0 : TILE;
-            for (int64_t i = 0; i < p; i++) {
-                for (int64_t t = 0; t < rows; t++)
-                    c[i * TILE + t] = X[(j0 + t) * p + i] - mu[i];
-                for (int64_t t = rows; t < TILE; t++)
-                    c[i * TILE + t] = 0.0;
-            }
+    for (int64_t g = 0; g < G; g++) {
+        const double *mu = mus + g * p, *L = chols + g * p * p;
+        for (int64_t j0 = ptr[g]; j0 < ptr[g + 1]; j0 += TILE) {
+            int64_t rows = ptr[g + 1] - j0 < TILE ? ptr[g + 1] - j0 : TILE;
+            if (idx) /* two calls, so that each inlined copy knows its idx */
+                tile_load(p, X, idx + j0, 0, rows, mu, c);
+            else
+                tile_load(p, X, NULL, j0 - ptr[g], rows, mu, c);
             TILE_LOOP(t) q[t] = 0.0;
             for (int64_t i = 0; i < p; i++) {
                 tile_solve(c + i * TILE, q, 1.0 / L[i * p + i]);
@@ -333,9 +356,46 @@ int64_t gauss_loglik_matrix(int64_t p, int64_t M, int64_t n, const double *X,
                     tile_subtract(c + k * TILE, c + i * TILE, L[k * p + i]);
             }
             for (int64_t t = 0; t < rows; t++)
-                out[m * n + j0 + t] = -0.5 * (consts[m] + q[t]);
+                out[j0 + t] = -0.5 * (consts[g] + q[t]);
         }
+        if (parts)
+            parts[g] = pairwise_sum(out + ptr[g], ptr[g + 1] - ptr[g]);
     }
     free(buf);
+    return KERNEL_OK;
+}
+
+/* winners[j] is the row of the first maximum of column j of the M x n
+   matrix ll, or of its first NaN, as np.argmax and first_max give it;
+   unless skip is NULL, column j leaves out row skip[j] (M >= 2). The rows
+   are scanned in order over tiles of TILE columns, the last one padded.
+   Returns KERNEL_OK. */
+VECTOR_CLONES
+int64_t column_winners(int64_t M, int64_t n, const double *ll, const int64_t *skip, int64_t *winners)
+{
+    double best[TILE], pad[TILE];
+    int64_t arg[TILE], left_out[TILE];
+    for (int64_t j0 = 0; j0 < n; j0 += TILE) {
+        int64_t cols = n - j0 < TILE ? n - j0 : TILE;
+        TILE_LOOP(t) {
+            left_out[t] = skip && t < cols ? skip[j0 + t] : -1;
+            arg[t] = left_out[t] == 0; /* the first row not left out */
+            best[t] = t < cols ? ll[arg[t] * n + j0 + t] : 0.0;
+        }
+        for (int64_t m = 1; m < M; m++) {
+            const double *row = ll + m * n + j0;
+            if (cols < TILE) {
+                TILE_LOOP(t) pad[t] = t < cols ? row[t] : 0.0;
+                row = pad;
+            }
+            TILE_LOOP(t) { /* unless left out or after a NaN, a NaN or a larger value takes over */
+                int64_t take = (m != left_out[t]) & (best[t] == best[t]) & ((row[t] > best[t]) | (row[t] != row[t]));
+                best[t] = take ? row[t] : best[t];
+                arg[t] = take ? m : arg[t];
+            }
+        }
+        for (int64_t t = 0; t < cols; t++)
+            winners[j0 + t] = arg[t];
+    }
     return KERNEL_OK;
 }

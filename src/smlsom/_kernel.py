@@ -1,12 +1,13 @@
 """Build, load and call the compiled kernel (``_kernel.c``).
 
-One shared library holds both families' training cycles and the Gaussian
-log-likelihood matrix, and exports nothing else: those are the calls a fit
-makes. It is compiled on first use with the system C compiler ``cc`` into
-``__pycache__`` next to this file, under a name that hashes the source and
-the compile command, so later processes load the cached library. Without a
-working compiler, training and Gaussian scoring raise ``SmlsomError``;
-there is no numpy or scipy fallback.
+One shared library holds both families' training cycles, the Gaussian
+scoring of groups of rows (the log-likelihood matrix and the deletion
+search's refits) and the column-wise winner search, and exports nothing
+else: those are the calls a fit makes. It is compiled on first use with
+the system C compiler ``cc`` into ``__pycache__`` next to this file, under
+a name that hashes the source and the compile command, so later processes
+load the cached library. Without a working compiler, training and Gaussian
+scoring raise ``SmlsomError``; there is no numpy or scipy fallback.
 
 The kernel reads and writes numpy buffers through bare pointers, so every
 array handed to it goes through ``buffer``, and a cycle's draws and
@@ -38,10 +39,12 @@ _CYCLE_ARGTYPES = [_I64, _I64, _PTR, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR]
 _ENTRY_POINTS = {
     # ..., plog2pi, update_sigma, mus, sigmas, chols, logdets, winners
     "gauss_train_cycle": [*_CYCLE_ARGTYPES, _F64, ctypes.c_int, _PTR, _PTR, _PTR, _PTR, _PTR],
-    # p, M, n, X, mus, chols, consts, out
-    "gauss_loglik_matrix": [_I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR],
     # ..., coef, floor, thetas, logthetas, winners
     "multinom_train_cycle": [*_CYCLE_ARGTYPES, _PTR, _F64, _PTR, _PTR, _PTR],
+    # p, G, X, idx, ptr, mus, chols, consts, out, parts
+    "gauss_loglik_groups": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
+    # M, n, ll, skip, winners
+    "column_winners": [_I64, _I64, _PTR, _PTR, _PTR],
 }
 _lib = None  # the kernel, loaded by its first use
 
@@ -155,6 +158,20 @@ def train_cycle(entry: str, X, draws, alphas, radii, neighbors, M: int, p: int, 
             buffer(winners, np.int64, (steps,), out=True),
         )
     )
+    return winners
+
+
+def column_winners(ll: np.ndarray, skip: np.ndarray | None = None) -> np.ndarray:
+    """Per column of the M x n matrix ``ll``, the row of its first maximum,
+    or of its first NaN, as ``np.argmax(ll, axis=0)`` gives it. With
+    ``skip``, column j leaves out its row ``skip[j]``, which needs M >= 2."""
+    ll = np.ascontiguousarray(ll, dtype=np.float64)
+    (M, n), winners = ll.shape, np.empty(ll.shape[1], dtype=np.int64)
+    if M < (1 if skip is None else 2):
+        raise ValueError("no row to pick a column's maximum from")
+    skip_at = None if skip is None else buffer(skip, np.int64, (n,))
+    out = buffer(winners, np.int64, (n,), out=True)
+    check_status(kernel().column_winners(M, n, buffer(ll, np.float64, (M, n)), skip_at, out))
     return winners
 
 

@@ -231,15 +231,14 @@ class NodeTable:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def take(self, rows: list, fits=()):
-        """A table of this one's ``rows``, in order, where the j-th is
-        replaced by the one row of ``fits[j]`` if that is a table (not None)."""
-        out = type(self)([self.ids[k] for k in rows], *(getattr(self, f)[rows] for f in self.FIELDS))
-        for j, fit in enumerate(fits):
-            if fit is not None:
-                for f in self.FIELDS:
-                    getattr(out, f)[j] = getattr(fit, f)[0]
-        return out
+    def take(self, rows: list):
+        """A table of this one's ``rows``, in order."""
+        return type(self)([self.ids[k] for k in rows], *(getattr(self, f)[rows] for f in self.FIELDS))
+
+    def concat(self, other):
+        """A table of this one's rows followed by ``other``'s."""
+        arrays = (np.concatenate([getattr(self, f), getattr(other, f)]) for f in self.FIELDS)
+        return type(self)(self.ids + other.ids, *arrays)
 
     def nodes(self) -> dict:
         """Single-node values keyed by id."""

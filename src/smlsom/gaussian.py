@@ -25,11 +25,15 @@ log-determinant by the matrix determinant lemma from the |w|^2 that the
 winner search has already computed; nothing is factorized during a cycle.
 Without a C compiler, scoring and training raise ``SmlsomError``.
 
+The deletion search's batch refits (``GaussianFamily.refit``) factorize
+every group's covariance in one stacked call and score all groups in one
+kernel call, by the matrix's own forward substitution.
+
 Some steps of a fit still go through numpy's BLAS and LAPACK, whose
-rounding follows the host's CPU: ``gauss_batch``'s ``X.T @ X``, the
-Cholesky factors of ``GaussParams`` and ``GaussTable.refresh``
-(``np.linalg.cholesky``), and the eigenvalues of
-``gauss_batch_neg_loglik`` (``eigvalsh``).
+rounding follows the host's CPU: the batch moments' ``X.T @ X``
+(``gauss_batch`` and ``refit``), the Cholesky factors of ``GaussParams``,
+``GaussTable.refresh`` and ``refit`` (``np.linalg.cholesky``), and the
+eigenvalues of ``gauss_batch_neg_loglik`` (``eigvalsh``).
 """
 
 from __future__ import annotations
@@ -68,6 +72,27 @@ def _factorize(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         except np.linalg.LinAlgError:
             continue
     raise SingularModelError("covariance not positive definite after maximal jitter")
+
+
+def _factorize_stack(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors and log-determinants of a stack of symmetric
+    covariances, bitwise as ``GaussParams`` makes them: in one call, or when
+    that fails one by one through ``_factorize``, jittering ``sigmas``."""
+    try:
+        chols = np.linalg.cholesky(sigmas)
+    except np.linalg.LinAlgError:
+        chols = np.empty_like(sigmas)
+        for k, sigma in enumerate(sigmas):
+            sigmas[k], chols[k] = _factorize(sigma)
+    return chols, 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+
+
+def _moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and biased (1/k) covariance of the k rows of X, not yet
+    symmetrized; the ufunc calls of numpy's ``mean`` and ``outer``."""
+    k = X.shape[0]
+    mu = np.add.reduce(X, axis=0) / k
+    return mu, (X.T @ X) / k - mu[:, None] * mu
 
 
 @dataclass(frozen=True)
@@ -115,36 +140,42 @@ class GaussTable(NodeTable):
     def refresh(self):
         """Refactor every covariance after training, as ``GaussParams``
         would, jitter included."""
-        try:
-            self.chols = np.linalg.cholesky(self.sigmas)
-        except np.linalg.LinAlgError:
-            for k, sigma in enumerate(self.sigmas):
-                self.sigmas[k], self.chols[k] = _factorize(sigma)
-        self.logdets = 2.0 * np.log(np.diagonal(self.chols, axis1=1, axis2=2)).sum(axis=1)
+        self.chols, self.logdets = _factorize_stack(self.sigmas)
 
 
-def gauss_loglik_matrix(X: np.ndarray, table: GaussTable, rows: slice = slice(None)) -> np.ndarray:
-    """M x n matrix of the log density of every row of X (n x p) under each
-    of the M nodes in the table's ``rows``, from one kernel call (see the
-    module docstring)."""
+def _loglik_groups(X, table: GaussTable, ptr, idx=None, parts=None) -> np.ndarray:
+    """The kernel's ``gauss_loglik_groups``: the log density of rows
+    ``idx[ptr[g]:ptr[g + 1]]`` of X, or of rows 0 .. ptr[g + 1] - ptr[g]
+    when idx is None, under the table's row g; each group's sum goes to
+    ``parts`` when given."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    mus, chols = table.mus[rows], table.chols[rows]
-    (M, p), n = mus.shape, X.shape[0]
-    consts = p * _LOG_2PI + table.logdets[rows]
-    out = np.empty((M, n))
-    check_status(
-        kernel().gauss_loglik_matrix(
+    (G, p), n, m = table.mus.shape, X.shape[0], int(ptr[-1])
+    if idx is not None and idx.size and not 0 <= idx.min() <= idx.max() < n:
+        raise ValueError("a group names a row that is not there")
+    consts, out = p * _LOG_2PI + table.logdets, np.empty(m)
+    check_status(  # the arrays stay referenced here while the kernel reads their addresses
+        kernel().gauss_loglik_groups(
             p,
-            M,
-            n,
+            G,
             buffer(X, np.float64, (n, p)),
-            buffer(mus, np.float64, (M, p)),
-            buffer(chols, np.float64, (M, p, p)),
-            buffer(consts, np.float64, (M,)),
-            buffer(out, np.float64, (M, n), out=True),
+            None if idx is None else buffer(idx, np.int64, (m,)),
+            buffer(ptr, np.int64, (G + 1,)),
+            buffer(table.mus, np.float64, (G, p)),
+            buffer(table.chols, np.float64, (G, p, p)),
+            buffer(consts, np.float64, (G,)),
+            buffer(out, np.float64, (m,), out=True),
+            None if parts is None else buffer(parts, np.float64, (G,), out=True),
         )
     )
     return out
+
+
+def gauss_loglik_matrix(X: np.ndarray, table: GaussTable) -> np.ndarray:
+    """M x n matrix of the log density of every row of X (n x p) under each
+    of the table's M nodes, from one kernel call (see the module
+    docstring)."""
+    M, n = len(table.mus), len(X)
+    return _loglik_groups(X, table, np.arange(M + 1) * n).reshape(M, n)
 
 
 def gauss_loglik_rows(X: np.ndarray, theta: GaussParams) -> np.ndarray:
@@ -157,21 +188,18 @@ def gauss_batch(samples: np.ndarray) -> GaussParams:
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     if X.shape[0] < 1:
         raise ValueError("need at least one sample")
-    mu = X.mean(axis=0)
-    sigma = (X.T @ X) / X.shape[0] - np.outer(mu, mu)
-    return GaussParams(mu, sigma)  # GaussParams symmetrizes sigma
+    return GaussParams(*_moments(X))  # GaussParams symmetrizes sigma
 
 
-def gauss_batch_stats(X: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+def gauss_batch_stats(X: np.ndarray, D: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
     """Sufficient statistics of ``gauss_batch_neg_loglik``, one row per group
     of rows of X (``groups[i]`` is row i's group): the count, the sums of
     x - xbar and of the upper triangle of (x - xbar)(x - xbar)^T, and the
-    sums of x^2. They add up over disjoint groups. Centring at the mean xbar
-    of all of X keeps the covariance's precision when the data sit far from
-    the origin; the uncentred squares measure how much round-off an exact
-    fit on the raw rows suffers."""
+    sums of x^2, where D holds the rows x - xbar. They add up over disjoint
+    groups. Centring at the mean xbar of all of X keeps the covariance's
+    precision when the data sit far from the origin; the uncentred squares
+    measure how much round-off an exact fit on the raw rows suffers."""
     X = np.asarray(X, dtype=float)
-    D = X - X.mean(axis=0)
     p = X.shape[1]
     cols = [np.bincount(groups, minlength=n_groups).astype(float)]
     cols += [np.bincount(groups, D[:, j], n_groups) for j in range(p)]
@@ -221,12 +249,23 @@ class GaussianFamily:
     table = GaussTable
     loglik_matrix = staticmethod(gauss_loglik_matrix)
     batch = staticmethod(gauss_batch)
-    batch_stats = staticmethod(gauss_batch_stats)
     batch_neg_loglik = staticmethod(gauss_batch_neg_loglik)
     df = staticmethod(gauss_df)
 
     def __init__(self, update_sigma: bool = True):
         self.update_sigma = update_sigma
+        self._centred = (None, None)  # the last data matrix seen and its rows less their mean
+
+    def batch_stats(self, X, groups, n_groups) -> np.ndarray:
+        """``gauss_batch_stats``; the centred rows are kept for the next call
+        with the same matrix, as ``MultinomialFamily.log_coef`` keeps its
+        coefficients: a fit passes its data matrix to every call."""
+        seen, D = self._centred
+        if seen is not X:
+            rows = np.asarray(X, dtype=float)
+            D = rows - rows.mean(axis=0)
+            self._centred = (X, D)
+        return gauss_batch_stats(X, D, groups, n_groups)
 
     def validate(self, dataset):
         pass  # any finite real matrix is acceptable
@@ -252,8 +291,22 @@ class GaussianFamily:
         read from ``ll_row``, row k of the cycle's matrix, when given."""
         if ll_row is not None:
             return ll_row[idx]
-        return gauss_loglik_matrix(X[idx], table, slice(k, k + 1))[0]
+        return _loglik_groups(X, table.take([k]), np.array([0, len(idx)]), np.ascontiguousarray(idx, dtype=np.int64))
 
-    def usable_rows(self, X) -> np.ndarray:
-        """Which rows of X a batch fit learns from: all of them."""
-        return np.ones(len(X), dtype=bool)
+    def refit(self, X, table: GaussTable, groups: list) -> tuple[GaussTable, np.ndarray]:
+        """Batch refits of table rows, group j = (k, idx) refitting row k on
+        the ascending rows idx of X. Returns a table whose row j is
+        ``gauss_batch`` of X[idx], or row k itself when idx is empty, and
+        each group's ``loglik_members(...).sum()`` under it; both bitwise."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        out = table.take([k for k, _ in groups])
+        fit = [j for j, (_, idx) in enumerate(groups) if idx.size]
+        if fit:
+            mus, sigmas = zip(*(_moments(X[groups[j][1]]) for j in fit))
+            sigmas = np.array(sigmas)
+            sigmas = 0.5 * (sigmas + sigmas.transpose(0, 2, 1))
+            out.chols[fit], out.logdets[fit] = _factorize_stack(sigmas)  # jitters sigmas where needed
+            out.mus[fit], out.sigmas[fit] = mus, sigmas
+        ptr, parts = np.cumsum([0, *(len(idx) for _, idx in groups)]), np.empty(len(groups))
+        _loglik_groups(X, out, ptr, np.concatenate([np.empty(0, np.int64), *(idx for _, idx in groups)]), parts)
+        return out, parts

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernel import NeighborTable
+from ._kernel import NeighborTable, column_winners
 from .core import Assignment, Dataset, MapGraph, Schedule, schedule_alphas, schedule_radii
 
 
@@ -32,8 +32,9 @@ def loglik_matrix(data: Dataset, params, family) -> np.ndarray:
 
 def ml_winners(ll: np.ndarray, ids) -> np.ndarray:
     """Per column of ``ll`` (rows in ``ids`` order), the id of the row with
-    the highest log-likelihood; ties go to the earlier row."""
-    return np.asarray(ids)[np.argmax(ll, axis=0)]
+    the highest log-likelihood; ties go to the earlier row, as with
+    ``np.argmax``, from one kernel pass over the matrix."""
+    return np.asarray(ids)[column_winners(ll)]
 
 
 def classify(data: Dataset, params, family) -> Assignment:

@@ -102,12 +102,20 @@ def multinom_batch(samples: np.ndarray) -> MultinomParams:
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     if X.shape[0] < 1:
         raise ValueError("need at least one sample")
+    theta = _mean_frequency(X)
+    if theta is None:
+        raise ValueError("all rows are zero")
+    return MultinomParams(theta)
+
+
+def _mean_frequency(X: np.ndarray) -> np.ndarray | None:
+    """A batch fit's mean relative frequency over the rows of X with a
+    count, before the floor; None when no row has one."""
     totals = X.sum(axis=1)
     keep = totals > 0
     if not keep.any():
-        raise ValueError("all rows are zero")
-    freqs = X[keep] / totals[keep, None]
-    return MultinomParams(freqs.mean(axis=0))
+        return None
+    return (X[keep] / totals[keep, None]).mean(axis=0)
 
 
 def multinom_batch_stats(X: np.ndarray, coef: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
@@ -208,6 +216,14 @@ class MultinomialFamily:
     def batch_stats(self, X, groups, n_groups) -> np.ndarray:
         return multinom_batch_stats(np.asarray(X, dtype=float), self.log_coef(X), groups, n_groups)
 
-    def usable_rows(self, X) -> np.ndarray:
-        """Which rows of X a batch fit learns from: those with a count."""
-        return np.asarray(X, dtype=float).sum(axis=1) > 0
+    def refit(self, X, table: MultinomTable, groups: list) -> tuple[MultinomTable, np.ndarray]:
+        """``GaussianFamily.refit`` by ``multinom_batch``, floored all at
+        once; a group with no count keeps row k. Each group is scored by
+        ``loglik_members``, whose matrix product stays per group."""
+        X, out = np.asarray(X, dtype=float), table.take([k for k, _ in groups])
+        means = [_mean_frequency(X[idx]) for _, idx in groups]
+        fit = [j for j, mean in enumerate(means) if mean is not None]
+        if fit:
+            out.thetas[fit] = _floor_probabilities(np.array([means[j] for j in fit]))
+            out.logthetas[fit] = np.log(out.thetas[fit])
+        return out, np.array([self.loglik_members(X, idx, out, j).sum() for j, (_, idx) in enumerate(groups)])

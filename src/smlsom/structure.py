@@ -11,13 +11,16 @@ goes is one argmax over the matrix, and each node's and each (candidate,
 receiver) pair's sufficient statistics are bincounts, from which the family
 gives the neg-loglik of a batch fit in closed form (``batch_neg_loglik``).
 Parts the closed form cannot be trusted with, such as a Gaussian node with
-at most p+1 members, are fitted exactly. The second stage rescores exactly,
-by batch refits, only the candidates whose estimate is within
+at most p+1 members, are fitted exactly, all in one grouped refit. The
+second stage rescores exactly only the candidates whose estimate is within
 ``SHORTLIST_RTOL`` (relative) of the best estimate or of the current MDL,
-and adopts among them by the same rule as a full search. The exact scores
-are bitwise the ones ``mdl_score`` would report for the candidate maps, so
-the adopted map, its score and ties resolve as with an exact score for
-every candidate, provided each estimate is within the tolerance of its
+from one more grouped refit of every survivor they need, and adopts among
+them by the same rule as a full search. A grouped refit (``family.refit``)
+takes a list of (table row, ascending sample rows) groups and returns their
+batch refits as one table, with each group's log-likelihood. The exact
+scores are bitwise the ones ``mdl_score`` would report for the candidate
+maps, so the adopted map, its score and ties resolve as with an exact score
+for every candidate, provided each estimate is within the tolerance of its
 exact score.
 """
 
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernel import column_winners
 from .core import Assignment, Dataset, MapGraph, NodeTable
 from .mlsom import node_table
 
@@ -140,20 +144,8 @@ class DeletionResult:
 def _destinations(ll: np.ndarray, own: np.ndarray) -> np.ndarray:
     """Per sample, the row it moves to when its own row ``own`` is deleted:
     the first maximum of its column of ``ll`` over the other rows, as
-    ``np.argmax`` over the column with that row removed gives it.
-
-    The own entries are set to -inf in ``ll`` itself for the argmax and put
-    back after it, which saves a copy of the matrix."""
-    cols = np.arange(ll.shape[1])
-    saved = ll[own, cols]
-    ll[own, cols] = -np.inf
-    try:
-        to = np.argmax(ll, axis=0)
-    finally:
-        ll[own, cols] = saved
-    # the masked row itself is the first maximum only when it is row 0 and
-    # every row is -inf; without it the first row left, row 1, is
-    return np.where(to == own, 1, to)
+    ``np.argmax`` over the column with that row removed gives it."""
+    return column_winners(ll, own)
 
 
 class _DeletionSearch:
@@ -162,6 +154,8 @@ class _DeletionSearch:
     Candidates are addressed by row (position in ascending id order). Each
     sample has its own row and its destination row if its own node goes;
     the (candidate, receiver) pairs that occur group the moved samples.
+    Every batch refit is keyed (c, r): survivor r refitted on its members
+    once candidate c is deleted, and (r, r) on its current members.
     """
 
     def __init__(self, data: Dataset, assignment: Assignment, table: NodeTable, family, ll: np.ndarray):
@@ -169,57 +163,53 @@ class _DeletionSearch:
         self.M = M = len(self.ids)
         self.id_of = np.asarray(self.ids)
         self.X = data.values
-        self.usable = family.usable_rows(self.X)
         self.data, self.assignment, self.table, self.family = data, assignment, table, family
-        own = np.minimum(np.searchsorted(self.id_of, assignment.m), M - 1)
-        if not np.array_equal(self.id_of[own], assignment.m):
-            raise ValueError("assignment names a node that has no parameters")
-        self.own, self.to = own, _destinations(ll, own)
         self.groups = assignment.groups(self.ids)  # row -> its ascending sample rows
+        sizes = [len(idx) for idx in self.groups]
+        if sum(sizes) != len(assignment.m):
+            raise ValueError("assignment names a node that has no parameters")
+        own = np.empty(len(assignment.m), dtype=np.int64)
+        own[np.concatenate(self.groups)] = np.repeat(np.arange(M), sizes)
+        self.own, self.to = own, _destinations(ll, own)
         key = own * M + self.to
         pair_keys = np.flatnonzero(np.bincount(key, minlength=M * M))
         self.cand, self.recv = np.divmod(pair_keys, M)  # pair j moves rows of cand[j] to recv[j]
         lookup = np.empty(M * M, dtype=np.int64)
         lookup[pair_keys] = np.arange(len(pair_keys))
         self.pair_of = lookup[key]
-        self.node_fits = {}  # row -> (refit, part) on its current members
-        self.pair_fits = {}  # (candidate, receiver) -> receiver's (refit, part) on its new members
+        self.refits = None  # every refit so far, one row each
+        self.fits = {}  # (c, r) -> (its row in refits, its part)
 
-    def receiver_rows(self, c: int, r: int) -> np.ndarray:
-        """Ascending sample rows of survivor r once candidate c is deleted."""
+    def members(self, c: int, r: int) -> np.ndarray:
+        """Ascending sample rows of survivor r once candidate c is deleted;
+        c == r gives r's current members."""
+        if c == r:
+            return self.groups[r]
         return np.flatnonzero((self.own == r) | ((self.own == c) & (self.to == r)))
 
-    def fit(self, k: int, idx: np.ndarray):
-        """Batch refit of row k's node on samples idx, as a one-row table,
-        and their log-likelihood; None where the node keeps its row. With no
-        samples it adds 0.0, which leaves the running total bitwise
-        unchanged, as skipping it does; samples a batch fit cannot learn
-        from, such as all-zero counts, are scored under the row."""
-        if not idx.size:
-            return None, 0.0
-        if not self.usable[idx].any():
-            return None, float(self.family.loglik_members(self.X, idx, self.table, k).sum())
-        refit = self.family.table.of({self.ids[k]: self.family.batch(self.X[idx])})
-        return refit, float(self.family.loglik_members(self.X, idx, refit, 0).sum())
-
-    def node_fit(self, k: int):
-        if k not in self.node_fits:
-            self.node_fits[k] = self.fit(k, self.groups[k])
-        return self.node_fits[k]
-
-    def pair_fit(self, c: int, r: int):
-        if (c, r) not in self.pair_fits:
-            self.pair_fits[c, r] = self.fit(r, self.receiver_rows(c, r))
-        return self.pair_fits[c, r]
+    def refit(self, keys: list):
+        """Batch-refit every (c, r) of ``keys`` not yet fitted in one grouped
+        ``family.refit`` call. A survivor left with no samples, or none a
+        batch fit can learn from (all-zero counts), keeps its row and is
+        scored under it; with no samples its part is 0.0, which leaves a
+        running total bitwise unchanged."""
+        keys = [key for key in dict.fromkeys(keys) if key not in self.fits]
+        if not keys:
+            return
+        table, parts = self.family.refit(self.X, self.table, [(r, self.members(c, r)) for c, r in keys])
+        first = 0 if self.refits is None else len(self.refits)
+        self.refits = table if self.refits is None else self.refits.concat(table)
+        for j, key in enumerate(keys):
+            self.fits[key] = (first + j, float(parts[j]))
 
     def estimates(self) -> np.ndarray:
         """Estimated MDL total of deleting each candidate, by row.
 
         Parts come from the family's closed form on sufficient statistics,
-        and from an exact fit where it returns NaN. A node's own part is
-        fitted only if some candidate leaves the node unchanged, so every
-        exact fit is one a full search would make too, and is kept for the
-        exact stage.
+        and from exact refits, all in one grouped call, where it returns
+        NaN. A node's own part is refitted only if some candidate leaves the
+        node unchanged, so every refit is one a full search would make too,
+        and is kept for the exact stage.
         """
         M, family = self.M, self.family
         pair_stats = family.batch_stats(self.X, self.pair_of, len(self.cand))
@@ -229,11 +219,14 @@ class _DeletionSearch:
         pair_neg = family.batch_neg_loglik(node_stats[self.recv] + pair_stats, self.data.p)
 
         unchanged = (M - 1) - np.bincount(self.recv, minlength=M)  # candidates that leave each node as it is
-        for k in np.flatnonzero(np.isnan(node_neg)).tolist():
+        nodes = np.flatnonzero(np.isnan(node_neg)).tolist()
+        pairs = [(j, (int(self.cand[j]), int(self.recv[j]))) for j in np.flatnonzero(np.isnan(pair_neg)).tolist()]
+        self.refit([(k, k) for k in nodes if unchanged[k]] + [key for _, key in pairs])
+        for k in nodes:
             # a node that receives rows under every other candidate cancels out of every sum
-            node_neg[k] = -self.node_fit(k)[1] if unchanged[k] else 0.0
-        for j in np.flatnonzero(np.isnan(pair_neg)).tolist():
-            pair_neg[j] = -self.pair_fit(int(self.cand[j]), int(self.recv[j]))[1]
+            node_neg[k] = -self.fits[k, k][1] if unchanged[k] else 0.0
+        for j, key in pairs:
+            pair_neg[j] = -self.fits[key][1]
 
         # candidate c: every node's part less its own, each receiver's part
         # swapped for its part on its new members
@@ -241,22 +234,34 @@ class _DeletionSearch:
         rest = _mdl(0.0, M - 1, self.data, family)
         return node_neg.sum() - node_neg + change + (rest.complexity + rest.indexing)
 
-    def exact(self, c: int):
-        """The MDL of deleting candidate row c, bitwise as ``mdl_score``
-        gives it for the refitted map, with that map's node table and
-        assignment."""
+    def survivors(self, c: int) -> list:
+        """The refit of each survivor of deleting candidate row c, in
+        ascending row order: receivers on their new members, every other
+        survivor on its current members."""
+        receivers = set(self.to[self.groups[c]].tolist())
+        return [(c, k) if k in receivers else (k, k) for k in range(self.M) if k != c]
+
+    def exact(self, candidates: list) -> list:
+        """The MDL of deleting each candidate row, bitwise as ``mdl_score``
+        gives it for the refitted map, from one grouped refit of whatever
+        the candidates need that the estimates have not fitted."""
+        keys = [self.survivors(c) for c in candidates]
+        self.refit([key for survivors in keys for key in survivors])
+        scores = []
+        for survivors in keys:
+            neg = 0.0
+            for key in survivors:
+                neg -= self.fits[key][1]
+            scores.append(_mdl(neg, self.M - 1, self.data, self.family))
+        return scores
+
+    def deleted(self, c: int):
+        """The node table and assignment ids of the map with candidate row c
+        deleted; needs ``exact`` to have scored c."""
         moved = self.groups[c]
         new_m = self.assignment.m.copy()
         new_m[moved] = self.id_of[self.to[moved]]
-        receivers = set(self.to[moved].tolist())
-        rows = [k for k in range(self.M) if k != c]
-        refits = []
-        neg = 0.0
-        for k in rows:
-            refit, part = self.pair_fit(c, k) if k in receivers else self.node_fit(k)
-            refits.append(refit)
-            neg -= part
-        return _mdl(neg, self.M - 1, self.data, self.family), self.table.take(rows, refits), new_m
+        return self.refits.take([self.fits[key][0] for key in self.survivors(c)]), new_m
 
 
 def try_delete_node(
@@ -297,16 +302,17 @@ def try_delete_node(
     search = _DeletionSearch(data, assignment, table, family, ll)
     est = search.estimates()
     ref = min(float(est.min()), current.total)
-    best = None  # (score, candidate row, table, assignment ids)
-    for c in np.flatnonzero(est <= ref + SHORTLIST_RTOL * abs(ref)).tolist():
-        score, cand_table, new_m = search.exact(c)
+    shortlist = np.flatnonzero(est <= ref + SHORTLIST_RTOL * abs(ref)).tolist()
+    best = None  # (score, candidate row)
+    for c, score in zip(shortlist, search.exact(shortlist)):
         if best is None or score.total < best[0].total:
-            best = (score, c, cand_table, new_m)
+            best = (score, c)
 
     if best is None or best[0].total >= current.total:
         return DeletionResult(graph, table, assignment, current, current, None)
 
-    score, c, cand_table, new_m = best
+    score, c = best
+    cand_table, new_m = search.deleted(c)
     m = search.ids[c]
     new_graph = graph.copy()
     former = new_graph.remove_node(m)

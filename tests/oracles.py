@@ -7,7 +7,9 @@ references that a production path must match bit for bit: the numpy
 Gaussian and multinomial training states and the Gaussian scoring, which
 take the compiled kernel's steps in its summation orders (sequential sums
 by ``np.cumsum``, no BLAS), so that they agree with it on every host.
-``stack`` and ``update`` are conveniences over the production node tables.
+``stack`` and ``update`` are conveniences over the production node tables,
+and ``assert_refit_is_per_group`` checks the grouped refit against the
+per-group path.
 """
 
 import math
@@ -480,3 +482,19 @@ class RecordingFamily(_OracleFamily):
         winners = self._inner.train(*args)
         self.winners.extend(winners.tolist())
         return winners
+
+
+def assert_refit_is_per_group(family, X, table, groups):
+    """``family.refit`` against the per-group path, bitwise: each group's
+    row is ``family.batch`` of its rows, or the table's row when the group
+    has nothing to fit, and its part that row's ``loglik_members`` summed."""
+    out, parts = family.refit(X, table, groups)
+    assert out.ids == [table.ids[k] for k, _ in groups]
+    assert len(parts) == len(groups)
+    for j, (k, idx) in enumerate(groups):
+        learns = idx.size and (family.name == "gaussian" or X[idx].any())
+        want = family.table.of({table.ids[k]: family.batch(X[idx])}) if learns else table.take([k])
+        for field in family.table.FIELDS:
+            assert getattr(out, field)[j].tobytes() == getattr(want, field)[0].tobytes(), (j, field)
+        part = family.loglik_members(X, idx, want, 0).sum()
+        assert parts[j].tobytes() == np.float64(part).tobytes(), j

@@ -16,6 +16,7 @@ from smlsom import (
     GaussianFamily,
     GaussParams,
     Schedule,
+    SingularModelError,
     SmlsomError,
     gauss_batch,
     gauss_df,
@@ -34,6 +35,7 @@ from smlsom.mlsom import neighbor_table
 
 from oracles import (
     OracleGaussTrainState,
+    assert_refit_is_per_group,
     dense_gauss_loglik,
     oracle_gauss_loglik_rows,
     random_pd_matrix,
@@ -334,7 +336,7 @@ class TestKernelBuild:
         lib = load_kernel(cache_dir=tmp_path)
         (built,) = tmp_path.iterdir()
         assert built.name.startswith("_kernel.")
-        for name in ("gauss_train_cycle", "gauss_loglik_matrix", "multinom_train_cycle"):
+        for name in ("gauss_train_cycle", "multinom_train_cycle", "gauss_loglik_groups", "column_winners"):
             assert getattr(lib, name).restype is ctypes.c_int64
 
     def test_fits_call_every_entry_point_and_no_other(self, monkeypatch):
@@ -425,6 +427,60 @@ class TestBatch:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             gauss_batch(np.empty((0, 2)))
+
+
+def gauss_groups(rng, n, p):
+    """Groups over n rows for a table of three rows: no rows, each size
+    1..p+1 (singular covariances, which go down the jitter ladder), and
+    larger groups past numpy's pairwise blocks."""
+    sizes = [0, *range(1, p + 2), 40, 200, n]
+    return [(int(rng.integers(3)), np.sort(rng.choice(n, size=s, replace=False))) for s in sizes]
+
+
+class TestGroupedRefit:
+    """``GaussianFamily.refit`` moments, factorizes and scores many groups
+    at once, bitwise as one ``gauss_batch`` per group."""
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    def test_matches_one_batch_fit_per_group(self, p):
+        rng = np.random.default_rng(900 + p)
+        X = rng.normal(size=(300, p)) * rng.uniform(0.5, 3.0, size=p) + rng.uniform(-3, 3, size=p)
+        X[250:260] = X[240]  # duplicate rows
+        table = stack(FAMILY, [GaussParams(rng.normal(size=p), random_pd_matrix(rng, p)) for _ in range(3)])
+        duplicates = (1, np.sort(np.r_[240:260, rng.choice(200, size=20, replace=False)]))
+        assert_refit_is_per_group(FAMILY, X, table, [*gauss_groups(rng, len(X), p), duplicates])
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    def test_well_conditioned_groups_factorize_at_once(self, p):
+        rng = np.random.default_rng(910 + p)
+        X = rng.normal(size=(500, p))
+        table = stack(FAMILY, [GaussParams(np.zeros(p), np.eye(p))])
+        groups = [(0, np.sort(rng.choice(500, size=int(rng.integers(4 * p + 4, 300)), replace=False))) for _ in range(6)]
+        assert_refit_is_per_group(FAMILY, X, table, groups)
+
+    def test_group_past_the_jitter_ladder_raises(self):
+        # two rows far from the origin: the moments' round-off leaves a
+        # covariance no jitter step makes positive definite
+        rng = np.random.default_rng(920)
+        for _ in range(100):
+            X = 1e9 + rng.normal(size=(2, 2)) * 1e-3
+            try:
+                gauss_batch(X)
+            except SingularModelError:
+                break
+        else:
+            pytest.fail("no rows that exhaust the jitter ladder")
+        X = np.vstack([X, rng.normal(size=(20, 2))])
+        table = stack(FAMILY, [GaussParams(np.zeros(2), np.eye(2))])
+        with pytest.raises(SingularModelError):
+            FAMILY.refit(X, table, [(0, np.arange(2, 22)), (0, np.arange(2))])
+
+    def test_rejects_rows_that_are_not_there(self):
+        table = stack(FAMILY, [GaussParams(np.zeros(2), np.eye(2))])
+        with pytest.raises(IndexError):
+            FAMILY.refit(np.zeros((4, 2)), table, [(0, np.array([1, 4]))])
+        with pytest.raises(ValueError):  # numpy would read it from the end, the kernel before the start
+            FAMILY.refit(np.zeros((4, 2)), table, [(0, np.array([-1, 2]))])
 
 
 class TestDf:

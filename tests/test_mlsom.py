@@ -268,3 +268,21 @@ class TestClassify:
         }
         out = classify(data, params, FAMILY)
         assert np.mean(out.m == labels) >= 0.99
+
+
+class TestMlWinners:
+    @pytest.mark.parametrize("M", [1, 2, 64])
+    def test_is_argmax_bitwise(self, M):
+        # rounding makes ties; whole columns of -inf and NaN, and a width
+        # that leaves a partial tile of columns
+        rng = np.random.default_rng(40 + M)
+        ids = np.sort(rng.choice(1000, size=M, replace=False))
+        for n in (1, 63, 64, 65, 1000):
+            ll = rng.normal(size=(M, n)).round(1)
+            ll[rng.random((M, n)) < 0.3] = -np.inf
+            ll[rng.random((M, n)) < 0.02] = np.nan
+            ll[:, :: max(n // 7, 1)] = -np.inf
+            ll[:, 1 :: max(n // 5, 1)] = np.nan
+            want = ids[np.argmax(ll, axis=0)]
+            assert ml_winners(ll, ids).tobytes() == want.tobytes(), n
+            assert ml_winners(ll.T.copy().T, ids).tobytes() == want.tobytes(), n  # not C-contiguous

@@ -23,7 +23,7 @@ from smlsom import (
 )
 from smlsom.mlsom import NeighborTable, neighbor_table
 
-from oracles import OracleMultinomTrainState, exact_multinom_pmf, stack, update
+from oracles import OracleMultinomTrainState, assert_refit_is_per_group, exact_multinom_pmf, stack, update
 
 FAMILY = MultinomialFamily()
 
@@ -140,6 +140,28 @@ class TestBatch:
         for t in range(1, 30_000):
             update(FAMILY, table, 0, X[rng.integers(30)], 1.0 / (t + 1.0))
         np.testing.assert_allclose(table.thetas[0], batch.theta, atol=0.02)
+
+
+class TestGroupedRefit:
+    """``MultinomialFamily.refit`` floors every refit at once, bitwise as
+    one ``multinom_batch`` per group."""
+
+    @pytest.mark.parametrize("p", [2, 5, 10, 12])
+    def test_matches_one_batch_fit_per_group(self, p):
+        rng = np.random.default_rng(900 + p)
+        X = count_rows(rng, 300, p, zero_share=0.2)
+        X[250:260] = X[240] = rng.multinomial(12, np.full(p, 1.0 / p))  # duplicate rows
+        zero = np.flatnonzero(~X.any(axis=1))
+        table = stack(FAMILY, [MultinomParams(rng.dirichlet(np.ones(p))) for _ in range(3)])
+        sizes = [0, *range(1, p + 2), 40, 200, len(X)]
+        groups = [(int(rng.integers(3)), np.sort(rng.choice(len(X), size=s, replace=False))) for s in sizes]
+        groups += [
+            (2, zero[:1]),  # all-zero groups keep their row
+            (0, zero),
+            (1, np.sort(np.r_[240:260, rng.choice(200, size=20, replace=False)])),
+            (1, np.sort(np.r_[zero[:5], 250:253])),
+        ]
+        assert_refit_is_per_group(FAMILY, X, table, groups)
 
 
 class TestDf:

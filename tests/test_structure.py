@@ -6,6 +6,7 @@ import pytest
 from smlsom import (
     Assignment,
     Dataset,
+    FitConfig,
     GaussianFamily,
     GaussParams,
     MapGraph,
@@ -14,10 +15,15 @@ from smlsom import (
     classify,
     cut_weak_links,
     kl_estimate,
+    lattice_graph,
+    load_faithful,
     loglik_matrix,
     mdl_score,
+    mlsom_train,
     try_delete_node,
 )
+from smlsom.driver import init_params
+from smlsom.mlsom import ml_winners
 from smlsom.structure import SHORTLIST_RTOL, _DeletionSearch, _destinations
 
 from oracles import (
@@ -268,6 +274,19 @@ class TestTryDeleteNode:
             data, g, Assignment(np.zeros(40, dtype=int)), GAUSS.table.of(params), GAUSS, loglik_matrix(data, params, GAUSS)
         )
         assert result.deleted is None
+
+    def test_assignment_naming_a_missing_node_is_rejected(self):
+        rng = np.random.default_rng(18)
+        data = Dataset(rng.normal(size=(40, 2)))
+        params = {0: GaussParams([0.0, 0.0], np.eye(2)), 2: GaussParams([1.0, 0.0], np.eye(2))}
+        for missing in (1, 3, -1):
+            m = np.zeros(40, dtype=int)
+            m[20:] = 2
+            m[5] = missing
+            with pytest.raises(ValueError, match="no parameters"):
+                try_delete_node(
+                    data, MapGraph(nodes=[0, 2]), Assignment(m), GAUSS.table.of(params), GAUSS, loglik_matrix(data, params, GAUSS)
+                )
 
     def test_neighbors_of_deleted_node_become_clique(self):
         # star around node 0; deleting 0 must connect its three neighbors
@@ -581,6 +600,22 @@ def _search_cases():
         yield f"gauss-offset-{trial}", GAUSS, (data, None, classify(data, params, GAUSS), params)
 
 
+class RefitSpy:
+    """Delegates to a model family and records the groups of every grouped
+    refit call."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = []
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
+
+    def refit(self, X, table, groups):
+        self.calls.append(groups)
+        return self._inner.refit(X, table, groups)
+
+
 class TestEstimates:
     def test_every_estimate_is_within_the_shortlist_tolerance(self):
         """Wherever an estimate decides whether a candidate is rescored, it
@@ -588,10 +623,13 @@ class TestEstimates:
         the exact stage's totals are bitwise the brute-force ones."""
         fallback = 0
         for name, family, (data, _, assignment, params) in _search_cases():
-            search = _DeletionSearch(data, assignment, family.table.of(params), family, loglik_matrix(data, params, family))
+            spy = RefitSpy(family)
+            search = _DeletionSearch(data, assignment, family.table.of(params), spy, loglik_matrix(data, params, family))
             est = search.estimates()
-            fallback += bool(search.node_fits or search.pair_fits)
-            exact = np.array([search.exact(c)[0].total for c in range(len(params))])
+            assert len(spy.calls) <= 1, name  # every fallback in one grouped call
+            fallback += bool(spy.calls)
+            exact = np.array([score.total for score in search.exact(list(range(len(params))))])
+            assert len(spy.calls) <= 2, name
             want = [cand[1].total for cand in oracle_deletion_candidates(data, assignment, params, family)]
             assert exact.tolist() == want, name
             ref = min(float(est.min()), mdl_score(data, assignment, params, family).total)
@@ -602,12 +640,32 @@ class TestEstimates:
     def test_shortlist_prunes_well_conditioned_candidates(self):
         rng = np.random.default_rng(160)
         data, g, params, assignment = two_blob_fixture(rng)
-        search = _DeletionSearch(data, assignment, GAUSS.table.of(params), GAUSS, loglik_matrix(data, params, GAUSS))
+        spy = RefitSpy(GAUSS)
+        search = _DeletionSearch(data, assignment, GAUSS.table.of(params), spy, loglik_matrix(data, params, GAUSS))
         est = search.estimates()
-        assert not search.node_fits and not search.pair_fits  # no part needed an exact fit
+        assert not spy.calls  # no part needed an exact fit
         ref = min(float(est.min()), mdl_score(data, assignment, params, GAUSS).total)
         shortlist = np.flatnonzero(est <= ref + SHORTLIST_RTOL * abs(ref))
         assert 1 <= len(shortlist) < len(params)
+
+    def test_one_attempt_makes_at_most_two_grouped_refits(self, monkeypatch):
+        """A deletion attempt on a trained 5x5 map refits in at most two
+        grouped calls, one per stage, and builds no single-node value."""
+        data = load_faithful()
+        config = FitConfig(rows=5, cols=5, seed=3)
+        table = init_params(data, config, np.random.default_rng(config.seed))
+        graph = lattice_graph(5, 5)
+        mlsom_train(data, graph, table, config.schedule(data.n), np.random.default_rng(config.seed), GAUSS)
+        ll = loglik_matrix(data, table, GAUSS)
+        assignment = Assignment(ml_winners(ll, table.ids))
+        built = []
+        monkeypatch.setattr(GaussParams, "__post_init__", lambda self: built.append(self))
+        spy = RefitSpy(GAUSS)
+        result = try_delete_node(data, graph, assignment, table, spy, ll)
+        assert 1 <= len(spy.calls) <= 2
+        assert sum(len(groups) for groups in spy.calls) > len(table) - 2  # the exact stage refits every survivor
+        assert built == []
+        assert result.deleted is not None
 
 
 class TestDestinations:
