@@ -2,8 +2,10 @@
  * Gaussian and the multinomial node families; Gaussian log densities of
  * groups of rows, each group under its own node, which gives the
  * log-likelihood matrix of a data set under every node in one call, and
- * the deletion search's refits their scores; and the first maximum of every
- * column of a log-likelihood matrix.
+ * the deletion search's refits their scores; the first maximum of every
+ * column of a log-likelihood matrix; Gaussian batch fits and Cholesky
+ * factorizations (gauss_fit_nodes); and the closed-form estimates of the
+ * deletion search (gauss_closed_form).
  *
  * Loaded through ctypes by smlsom/_kernel.py, which compiles this file on
  * first use with -O2 -ffp-contract=off (no fused multiply-adds, no
@@ -26,9 +28,9 @@
  *   logdet' = logdet + (p log1p(-a) + log(1 + a q))
  *
  * so the factor is kept current without ever factorizing here. Every
- * Cholesky factorization is numpy's LAPACK: GaussTable.refresh's after each
- * training cycle, the deletion search's batch refits, and GaussParams' for
- * initial and loaded nodes.
+ * Cholesky factorization of a fit is gauss_fit_nodes's, with its jitter
+ * ladder: GaussTable.refresh's after each training cycle, the deletion
+ * search's batch refits, and GaussParams' for initial and loaded nodes.
  *
  * Multinomial nodes hold probabilities theta (M x p) and their logs. A row
  * x with total T scores coef + log(theta) . x, where the caller passes
@@ -43,6 +45,8 @@
  *     the products one at a time, ascending, and multiplies by the pivot's
  *     reciprocal;
  *   - a sum of squares is one running sum, ascending;
+ *   - a batch fit's sums over rows are running sums in row order, and a
+ *     Cholesky entry subtracts its products one at a time, ascending;
  *   - the exception follows numpy's own loop, which does not change with the
  *     host either: `pairwise_sum` (numpy's pairwise summation).
  * The numpy references in tests/oracles.py take the same steps in the same
@@ -397,5 +401,156 @@ int64_t column_winners(int64_t M, int64_t n, const double *ll, const int64_t *sk
         for (int64_t t = 0; t < cols; t++)
             winners[j0 + t] = arg[t];
     }
+    return KERNEL_OK;
+}
+
+/* The batch fits' helpers are inlined too: compiled on their own, they
+   would sit before the scoring clones and shift them (see multinom_step).
+
+   L L' = A for a symmetric A read from its lower triangle: for i >= j,
+   s = A_ij - L_i0 L_j0 - ... - L_i,j-1 L_j,j-1 in that order, L_jj = sqrt(s)
+   and L_ij = s / L_jj; the upper triangle is 0, and *logdet = 2 (log L_00 +
+   ... + log L_p-1,p-1) ascending. Returns 0 at a pivot s not above
+   min_pivot, else 1. */
+SCORING int cholesky(int64_t p, const double *A, double *L, double min_pivot, double *logdet)
+{
+    for (int64_t j = 0; j < p; j++) {
+        for (int64_t i = 0; i < j; i++)
+            L[i * p + j] = 0.0;
+        for (int64_t i = j; i < p; i++) {
+            double s = A[i * p + j];
+            for (int64_t k = 0; k < j; k++)
+                s -= L[i * p + k] * L[j * p + k];
+            if (i == j && !(s > min_pivot))
+                return 0;
+            L[i * p + j] = i == j ? sqrt(s) : s / L[j * p + j];
+        }
+        *logdet = j ? *logdet + log(L[j * p + j]) : log(L[0]);
+    }
+    *logdet *= 2.0;
+    return 1;
+}
+
+/* mu = s / k and Sigma = S / k - mu mu', mirrored, from the sums s of k
+   rows and the upper triangle of the sums S of their products. */
+SCORING void covariance(int64_t p, double k, const double *s, const double *S, double *mu, double *sigma)
+{
+    for (int64_t i = 0; i < p; i++)
+        mu[i] = s[i] / k;
+    for (int64_t i = 0; i < p; i++)
+        for (int64_t j = i; j < p; j++)
+            sigma[j * p + i] = sigma[i * p + j] = S[i * p + j] / k - mu[i] * mu[j];
+}
+
+/* The factors chols[g] and log-determinants logdets[g] of G Gaussian nodes.
+   With X NULL each node's covariance is factorized as it is; otherwise node
+   g is first set to the moments of its group, the rows idx[ptr[g] ..
+   ptr[g+1]) of the n x p matrix X added in order, and an empty group leaves
+   it as it is. A covariance that does not factorize gets eps * scale added
+   to its diagonal, for eps = steps[0], steps[1], ... in turn, until it does;
+   scale is trace / p (the trace summed ascending), 1 when that is not
+   positive, and floor * max_i (Sigma_ii + mu_i^2) when below it. Returns
+   KERNEL_OK, KERNEL_NOMEM, or the first node whose ladder ran out, which
+   leaves it and the later nodes unset. */
+int64_t gauss_fit_nodes(int64_t p, int64_t G, const double *X, const int64_t *idx, const int64_t *ptr,
+                        int64_t n_steps, const double *steps, double floor, double *mus, double *sigmas,
+                        double *chols, double *logdets)
+{
+    double *diag = malloc((size_t)p * sizeof(double));
+    if (!diag)
+        return KERNEL_NOMEM;
+    int64_t g = 0;
+    for (; g < G; g++) {
+        double *mu = mus + g * p, *sigma = sigmas + g * p * p, *L = chols + g * p * p;
+        if (X && ptr[g] == ptr[g + 1])
+            continue;
+        for (int64_t r = X ? ptr[g] : 0; X && r < ptr[g + 1]; r++) { /* running sums from the first row */
+            const double *x = X + idx[r] * p;
+            for (int64_t i = 0; i < p; i++) {
+                mu[i] = r > ptr[g] ? mu[i] + x[i] : x[i];
+                for (int64_t j = i; j < p; j++)
+                    sigma[i * p + j] = r > ptr[g] ? sigma[i * p + j] + x[i] * x[j] : x[i] * x[j];
+            }
+        }
+        if (X)
+            covariance(p, (double)(ptr[g + 1] - ptr[g]), mu, sigma, mu, sigma);
+        int ok = cholesky(p, sigma, L, 0.0, logdets + g);
+        double trace = 0.0, bound = 0.0;
+        for (int64_t i = 0; i < p && !ok; i++) {
+            diag[i] = sigma[i * p + i];
+            trace = i ? trace + diag[i] : diag[i];
+            bound = i && diag[i] + mu[i] * mu[i] <= bound ? bound : diag[i] + mu[i] * mu[i];
+        }
+        double scale = trace / (double)p, least = floor * bound;
+        scale = scale <= 0.0 ? 1.0 : scale < least ? least : scale;
+        for (int64_t s = 0; s < n_steps && !ok; s++) {
+            for (int64_t i = 0; i < p; i++)
+                sigma[i * p + i] = diag[i] + steps[s] * scale;
+            ok = cholesky(p, sigma, L, 0.0, logdets + g);
+        }
+        if (!ok)
+            break;
+    }
+    free(diag);
+    return g < G ? g : KERNEL_OK;
+}
+
+/* The neg-loglik k/2 (c + log|Sigma|) of k rows under their batch fit, from
+   their statistics st (see gauss_closed_form): 0 when k = 0, NaN unless
+   k > p + 1 and every pivot exceeds min_eig times the largest raw second
+   moment (S_ii + 2 xbar_i s_i) / k + xbar_i^2. `work`: p + 2 p^2 doubles. */
+SCORING double closed_form(int64_t p, const double *st, const double *xbar, double c, double min_eig, double *work)
+{
+    double k = st[0], raw = 0.0, logdet = 0.0, *sigma = work + p;
+    const double *s = st + 1, *S = s + p;
+    if (k == 0.0)
+        return 0.0;
+    for (int64_t i = 0; i < p; i++) {
+        double r = (S[i * p + i] + 2.0 * xbar[i] * s[i]) / k + xbar[i] * xbar[i];
+        raw = r > raw ? r : raw;
+    }
+    covariance(p, k, s, S, work, sigma);
+    if (!(k > (double)(p + 1)) || !cholesky(p, sigma, sigma + p * p, min_eig * raw, &logdet))
+        return NAN;
+    return 0.5 * k * (c + logdet);
+}
+
+/* The deletion search's estimates. Row r of the n x p matrix X moves in pair
+   pair_of[r], and pair j from node cand[j] to node recv[j]. A group's
+   statistics are its count k and the sums s of d = x - xbar and S of
+   d_i d_j (i <= j), xbar the data mean: a pair's summed over its rows in
+   order, a node's over its pairs in order, each from 0. node_neg[m] is the
+   closed_form of node m's and pair_neg[j] of node recv[j]'s plus pair j's.
+   Returns KERNEL_OK or KERNEL_NOMEM. */
+int64_t gauss_closed_form(int64_t p, int64_t n, int64_t M, int64_t P, const double *X, const double *xbar,
+                          const int64_t *pair_of, const int64_t *cand, const int64_t *recv, double c,
+                          double min_eig, double *node_neg, double *pair_neg)
+{
+    int64_t W = 1 + p + p * p;
+    double *stats = calloc((size_t)((P + M + 1) * W + p + 2 * p * p), sizeof(double));
+    if (!stats)
+        return KERNEL_NOMEM;
+    double *nodes = stats + P * W, *both = nodes + M * W, *work = both + W;
+    for (int64_t r = 0; r < n; r++) {
+        const double *x = X + r * p;
+        double *st = stats + pair_of[r] * W, *s = st + 1, *S = s + p;
+        st[0] += 1.0;
+        for (int64_t i = 0; i < p; i++) {
+            s[i] += x[i] - xbar[i];
+            for (int64_t j = i; j < p; j++)
+                S[i * p + j] += (x[i] - xbar[i]) * (x[j] - xbar[j]);
+        }
+    }
+    for (int64_t j = 0; j < P; j++)
+        for (int64_t t = 0; t < W; t++)
+            nodes[cand[j] * W + t] += stats[j * W + t];
+    for (int64_t m = 0; m < M; m++)
+        node_neg[m] = closed_form(p, nodes + m * W, xbar, c, min_eig, work);
+    for (int64_t j = 0; j < P; j++) {
+        for (int64_t t = 0; t < W; t++)
+            both[t] = nodes[recv[j] * W + t] + stats[j * W + t];
+        pair_neg[j] = closed_form(p, both, xbar, c, min_eig, work);
+    }
+    free(stats);
     return KERNEL_OK;
 }

@@ -2,12 +2,14 @@
 
 One shared library holds both families' training cycles, the Gaussian
 scoring of groups of rows (the log-likelihood matrix and the deletion
-search's refits) and the column-wise winner search, and exports nothing
-else: those are the calls a fit makes. It is compiled on first use with
-the system C compiler ``cc`` into ``__pycache__`` next to this file, under
-a name that hashes the source and the compile command, so later processes
-load the cached library. Without a working compiler, training and Gaussian
-scoring raise ``SmlsomError``; there is no numpy or scipy fallback.
+search's refits), the column-wise winner search, the Gaussian batch fits
+and Cholesky factorizations, and the deletion search's closed-form
+estimates, and exports nothing else: those are the calls a fit makes. It
+is compiled on first use with the system C compiler ``cc`` into
+``__pycache__`` next to this file, under a name that hashes the source and
+the compile command, so later processes load the cached library. Without
+a working compiler, training and Gaussian scoring raise ``SmlsomError``;
+there is no numpy or scipy fallback.
 
 The kernel reads and writes numpy buffers through bare pointers, so every
 array handed to it goes through ``buffer``, and a cycle's draws and
@@ -16,6 +18,7 @@ neighbor table through ``train_cycle``, which check what ctypes cannot.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -45,6 +48,10 @@ _ENTRY_POINTS = {
     "gauss_loglik_groups": [_I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
     # M, n, ll, skip, winners
     "column_winners": [_I64, _I64, _PTR, _PTR, _PTR],
+    # p, G, X, idx, ptr, n_steps, steps, floor, mus, sigmas, chols, logdets
+    "gauss_fit_nodes": [_I64, _I64, _PTR, _PTR, _PTR, _I64, _PTR, _F64, _PTR, _PTR, _PTR, _PTR],
+    # p, n, M, P, X, xbar, pair_of, cand, recv, c, min_eig, node_neg, pair_neg
+    "gauss_closed_form": [_I64, _I64, _I64, _I64, _PTR, _PTR, _PTR, _PTR, _PTR, _F64, _F64, _PTR, _PTR],
 }
 _lib = None  # the kernel, loaded by its first use
 
@@ -63,7 +70,9 @@ def load_kernel(cc: str = "cc", cache_dir: Path | None = None) -> ctypes.CDLL:
     current source by ``cc``.
 
     The compiler writes to a temporary name that is then renamed into
-    place, so processes building at the same time do not clash.
+    place, so processes building at the same time do not clash. A build
+    then removes the other builds in the cache, skipping any it cannot;
+    a process that has one loaded keeps it.
     """
     if cache_dir is None:
         cache_dir = _CACHE_DIR
@@ -84,6 +93,9 @@ def load_kernel(cc: str = "cc", cache_dir: Path | None = None) -> ctypes.CDLL:
                     f"`{' '.join(cmd)}` failed:\n{proc.stderr.strip()}"
                 )
             os.replace(tmp, path)
+            for stale in set(path.parent.glob("_kernel.*.so")) - {path}:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -247,21 +248,28 @@ class NodeTable:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Per-sample winning node id."""
+    """Per-sample winning node id; ``m`` is not modified once ``groups`` has
+    sorted it."""
 
     m: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     def __post_init__(self):
         object.__setattr__(self, "m", np.asarray(self.m, dtype=int))
 
-    def groups(self, ids) -> list[np.ndarray]:
-        """For each node id in ``ids``, the ascending indices of the samples
-        assigned to it, from one stable sort of the assignment."""
+    @cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
         m = self.m
         # numpy radix-sorts 8- and 16-bit keys, several times faster here
         keys = m.astype(np.min_scalar_type(m.max())) if m.size and m.min() >= 0 else m
         order = np.argsort(keys, kind="stable")
-        ranked = m[order]
+        order.setflags(write=False)  # every call hands out slices of it
+        return order, m[order]
+
+    def groups(self, ids) -> list[np.ndarray]:
+        """For each node id in ``ids``, the ascending indices of the samples
+        assigned to it, from one stable sort of the assignment, which all
+        calls share (a cycle's link cutting, MDL score and deletion search)."""
+        order, ranked = self._sorted
         lo = np.searchsorted(ranked, ids, side="left")
         hi = np.searchsorted(ranked, ids, side="right")
         return [order[a:b] for a, b in zip(lo.tolist(), hi.tolist())]

@@ -2,8 +2,8 @@
 
 A fit holds its nodes in one ``GaussTable``: means, covariances, Cholesky
 factors L and log-determinants, stacked. ``GaussParams`` is a single node;
-a covariance that fails to factorize gets an escalating diagonal jitter
-before a singular-model error is raised.
+a covariance that fails to factorize gets an escalating diagonal jitter,
+node by node, before a singular-model error is raised.
 
 Scoring runs in the compiled kernel (``_kernel.c``, built and loaded by
 ``_kernel``): one call writes the log density of every row of X under
@@ -25,15 +25,13 @@ log-determinant by the matrix determinant lemma from the |w|^2 that the
 winner search has already computed; nothing is factorized during a cycle.
 Without a C compiler, scoring and training raise ``SmlsomError``.
 
-The deletion search's batch refits (``GaussianFamily.refit``) factorize
-every group's covariance in one stacked call and score all groups in one
-kernel call, by the matrix's own forward substitution.
-
-Some steps of a fit still go through numpy's BLAS and LAPACK, whose
-rounding follows the host's CPU: the batch moments' ``X.T @ X``
-(``gauss_batch`` and ``refit``), the Cholesky factors of ``GaussParams``,
-``GaussTable.refresh`` and ``refit`` (``np.linalg.cholesky``), and the
-eigenvalues of ``gauss_batch_neg_loglik`` (``eigvalsh``).
+Batch fits run in the kernel too, in its own order: the moments of groups
+of rows (``gauss_batch``, ``GaussianFamily.refit``), the one Cholesky
+factorization and its jitter ladder (``GaussParams``, ``GaussTable.refresh``
+and the refits), and the deletion search's closed-form estimates
+(``GaussianFamily.batch_parts``). Only the initial map's PCA
+(``driver.pca_init``: ``centered.T @ centered`` and ``eigh``) still goes
+through numpy's BLAS and LAPACK, whose rounding follows the host's CPU.
 """
 
 from __future__ import annotations
@@ -47,52 +45,43 @@ from .core import NodeTable
 from .errors import SingularModelError
 
 _LOG_2PI = np.log(2.0 * np.pi)
-_JITTER_STEPS = (1e-10, 1e-8, 1e-6)
+# A covariance that does not factorize has its diagonal raised by each step
+# in turn times trace / p: 1 when that is not positive, and no less than
+# _JITTER_FLOOR times its largest Sigma_ii + mu_i^2, for a trace of round-off.
+_JITTER_STEPS = np.array([1e-10, 1e-8, 1e-6])
+_JITTER_FLOOR = 1e-8
 _SYM_TOL = 1e-10
-# A closed-form batch neg-loglik is trusted only while the covariance's
-# smallest eigenvalue exceeds this share of the rows' largest raw second
-# moment, which bounds the relative round-off of the log-determinant.
+# A closed-form batch neg-loglik is trusted only while every pivot of the
+# covariance's Cholesky factor exceeds this share of the rows' largest raw
+# second moment, which bounds the relative round-off of the log-determinant.
 _CLOSED_FORM_MIN_EIG = 1e-8
 
 
-def _factorize(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky with escalating jitter; returns (possibly jittered sigma, L)."""
-    try:
-        return sigma, np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        pass
-    p = sigma.shape[0]
-    scale = np.trace(sigma) / p
-    if scale <= 0:
-        scale = 1.0
-    for eps in _JITTER_STEPS:
-        jittered = sigma + eps * scale * np.eye(p)
-        try:
-            return jittered, np.linalg.cholesky(jittered)
-        except np.linalg.LinAlgError:
-            continue
-    raise SingularModelError("covariance not positive definite after maximal jitter")
+def _rows(X: np.ndarray, idx, ptr, G: int, p: int) -> tuple:
+    """Addresses of the n x p matrix X and of G groups of its rows,
+    ``idx[ptr[g]:ptr[g + 1]]``, or rows 0 .. ptr[g + 1] - ptr[g] with idx
+    None, for a kernel call while the caller holds them."""
+    if idx is not None and idx.size and not 0 <= idx.min() <= idx.max() < len(X):
+        raise ValueError("a group names a row that is not there")
+    at = None if idx is None else buffer(idx, np.int64, (int(ptr[-1]),))
+    return buffer(X, np.float64, (len(X), p)), at, buffer(ptr, np.int64, (G + 1,))
 
 
-def _factorize_stack(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors and log-determinants of a stack of symmetric
-    covariances, bitwise as ``GaussParams`` makes them: in one call, or when
-    that fails one by one through ``_factorize``, jittering ``sigmas``."""
-    try:
-        chols = np.linalg.cholesky(sigmas)
-    except np.linalg.LinAlgError:
-        chols = np.empty_like(sigmas)
-        for k, sigma in enumerate(sigmas):
-            sigmas[k], chols[k] = _factorize(sigma)
-    return chols, 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
-
-
-def _moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and biased (1/k) covariance of the k rows of X, not yet
-    symmetrized; the ufunc calls of numpy's ``mean`` and ``outer``."""
-    k = X.shape[0]
-    mu = np.add.reduce(X, axis=0) / k
-    return mu, (X.T @ X) / k - mu[:, None] * mu
+def _fit_nodes(table: "GaussTable", X=None, idx=None, ptr=None):
+    """The kernel's ``gauss_fit_nodes`` on the table in place: each row's
+    factor and log-determinant, its covariance jittered where it needs it;
+    with X, row g is first refitted to the rows ``idx[ptr[g]:ptr[g + 1]]``
+    of X, unless there are none."""
+    (G, p), steps = table.mus.shape, _JITTER_STEPS
+    status = kernel().gauss_fit_nodes(
+        p, G, *((None,) * 3 if X is None else _rows(X, idx, ptr, G, p)),
+        len(steps), buffer(steps, np.float64, steps.shape), _JITTER_FLOOR,
+        buffer(table.mus, np.float64, (G, p), out=True), buffer(table.sigmas, np.float64, (G, p, p), out=True),
+        buffer(table.chols, np.float64, (G, p, p), out=True), buffer(table.logdets, np.float64, (G,), out=True),
+    )
+    if status >= 0:
+        raise SingularModelError("covariance not positive definite after maximal jitter")
+    check_status(status)
 
 
 @dataclass(frozen=True)
@@ -112,12 +101,13 @@ class GaussParams:
         asym = np.abs(sigma - sigma.T).max()
         if asym > _SYM_TOL * max(1.0, np.abs(sigma).max()):
             raise ValueError("sigma is not symmetric")
-        sigma = 0.5 * (sigma + sigma.T)
-        sigma, L = _factorize(sigma)
+        node = GaussTable.blank(1, mu.size)
+        node.mus[0], node.sigmas[0] = mu, 0.5 * (sigma + sigma.T)
+        _fit_nodes(node)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_chol", L)
-        object.__setattr__(self, "log_det", 2.0 * float(np.sum(np.log(np.diag(L)))))
+        object.__setattr__(self, "sigma", node.sigmas[0])
+        object.__setattr__(self, "_chol", node.chols[0])
+        object.__setattr__(self, "log_det", float(node.logdets[0]))
 
     @property
     def p(self) -> int:
@@ -134,13 +124,17 @@ class GaussTable(NodeTable):
     def row(theta: GaussParams) -> tuple:
         return theta.mu, theta.sigma, theta._chol, theta.log_det
 
+    @classmethod
+    def blank(cls, M: int, p: int) -> "GaussTable":
+        return cls(list(range(M)), np.zeros((M, p)), np.zeros((M, p, p)), np.zeros((M, p, p)), np.zeros(M))
+
     def node(self, k: int) -> GaussParams:
         return GaussParams(self.mus[k].copy(), self.sigmas[k])
 
     def refresh(self):
         """Refactor every covariance after training, as ``GaussParams``
         would, jitter included."""
-        self.chols, self.logdets = _factorize_stack(self.sigmas)
+        _fit_nodes(self)
 
 
 def _loglik_groups(X, table: GaussTable, ptr, idx=None, parts=None) -> np.ndarray:
@@ -149,21 +143,13 @@ def _loglik_groups(X, table: GaussTable, ptr, idx=None, parts=None) -> np.ndarra
     when idx is None, under the table's row g; each group's sum goes to
     ``parts`` when given."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    (G, p), n, m = table.mus.shape, X.shape[0], int(ptr[-1])
-    if idx is not None and idx.size and not 0 <= idx.min() <= idx.max() < n:
-        raise ValueError("a group names a row that is not there")
+    (G, p), m = table.mus.shape, int(ptr[-1])
     consts, out = p * _LOG_2PI + table.logdets, np.empty(m)
     check_status(  # the arrays stay referenced here while the kernel reads their addresses
         kernel().gauss_loglik_groups(
-            p,
-            G,
-            buffer(X, np.float64, (n, p)),
-            None if idx is None else buffer(idx, np.int64, (m,)),
-            buffer(ptr, np.int64, (G + 1,)),
-            buffer(table.mus, np.float64, (G, p)),
-            buffer(table.chols, np.float64, (G, p, p)),
-            buffer(consts, np.float64, (G,)),
-            buffer(out, np.float64, (m,), out=True),
+            p, G, *_rows(X, idx, ptr, G, p),
+            buffer(table.mus, np.float64, (G, p)), buffer(table.chols, np.float64, (G, p, p)),
+            buffer(consts, np.float64, (G,)), buffer(out, np.float64, (m,), out=True),
             None if parts is None else buffer(parts, np.float64, (G,), out=True),
         )
     )
@@ -184,55 +170,15 @@ def gauss_loglik_rows(X: np.ndarray, theta: GaussParams) -> np.ndarray:
 
 
 def gauss_batch(samples: np.ndarray) -> GaussParams:
-    """Method-of-moments fit: sample mean and biased (1/k) covariance."""
-    X = np.atleast_2d(np.asarray(samples, dtype=float))
-    if X.shape[0] < 1:
+    """Method-of-moments fit: sample mean and biased (1/k) covariance, the
+    kernel's moments (see ``_kernel.c``)."""
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(samples, dtype=float)))
+    k, p = X.shape
+    if k < 1:
         raise ValueError("need at least one sample")
-    return GaussParams(*_moments(X))  # GaussParams symmetrizes sigma
-
-
-def gauss_batch_stats(X: np.ndarray, D: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """Sufficient statistics of ``gauss_batch_neg_loglik``, one row per group
-    of rows of X (``groups[i]`` is row i's group): the count, the sums of
-    x - xbar and of the upper triangle of (x - xbar)(x - xbar)^T, and the
-    sums of x^2, where D holds the rows x - xbar. They add up over disjoint
-    groups. Centring at the mean xbar of all of X keeps the covariance's
-    precision when the data sit far from the origin; the uncentred squares
-    measure how much round-off an exact fit on the raw rows suffers."""
-    X = np.asarray(X, dtype=float)
-    p = X.shape[1]
-    cols = [np.bincount(groups, minlength=n_groups).astype(float)]
-    cols += [np.bincount(groups, D[:, j], n_groups) for j in range(p)]
-    cols += [np.bincount(groups, D[:, j] * D[:, l], n_groups) for j, l in zip(*np.triu_indices(p))]
-    cols += [np.bincount(groups, X[:, j] * X[:, j], n_groups) for j in range(p)]
-    return np.column_stack(cols)
-
-
-def gauss_batch_neg_loglik(stats: np.ndarray, p: int) -> np.ndarray:
-    """Negative log-likelihood of each group's rows under its own batch fit,
-    from ``gauss_batch_stats`` of p-dimensional rows. With k rows, the fit's
-    quadratic forms sum to tr(Sigma^-1 k Sigma) = kp, leaving
-    k/2 (p(log 2pi + 1) + log|Sigma|).
-
-    0 for an empty group, and NaN where the closed form is not trusted and
-    the group needs an exact ``gauss_batch`` fit: at most p + 1 rows (a
-    singular or nearly singular covariance), or a smallest eigenvalue at or
-    below ``_CLOSED_FORM_MIN_EIG`` times the largest raw second moment, where
-    the exact fit's round-off, or the jitter of ``_factorize``, moves the
-    log-determinant.
-    """
-    k = stats[:, 0]
-    kk = np.maximum(k, 1.0)[:, None]
-    iu, ju = np.triu_indices(p)
-    S2 = np.empty((len(stats), p, p))
-    S2[:, iu, ju] = S2[:, ju, iu] = stats[:, 1 + p : 1 + p + len(iu)]
-    mu = stats[:, 1 : 1 + p] / kk
-    eig = np.linalg.eigvalsh(S2 / kk[:, :, None] - mu[:, :, None] * mu[:, None, :])
-    raw = (stats[:, -p:] / kk).max(axis=1)
-    trusted = (k > p + 1) & (eig[:, 0] > _CLOSED_FORM_MIN_EIG * raw)
-    logdet = np.log(np.where(trusted[:, None], eig, 1.0)).sum(axis=1)
-    neg = 0.5 * k * (p * (_LOG_2PI + 1.0) + logdet)
-    return np.where(trusted, neg, np.where(k == 0, 0.0, np.nan))
+    fit = GaussTable.blank(1, p)
+    _fit_nodes(fit, X, np.arange(k), np.array([0, k]))
+    return fit.node(0)
 
 
 def gauss_df(p: int) -> int:
@@ -249,23 +195,39 @@ class GaussianFamily:
     table = GaussTable
     loglik_matrix = staticmethod(gauss_loglik_matrix)
     batch = staticmethod(gauss_batch)
-    batch_neg_loglik = staticmethod(gauss_batch_neg_loglik)
     df = staticmethod(gauss_df)
 
     def __init__(self, update_sigma: bool = True):
         self.update_sigma = update_sigma
-        self._centred = (None, None)  # the last data matrix seen and its rows less their mean
 
-    def batch_stats(self, X, groups, n_groups) -> np.ndarray:
-        """``gauss_batch_stats``; the centred rows are kept for the next call
-        with the same matrix, as ``MultinomialFamily.log_coef`` keeps its
-        coefficients: a fit passes its data matrix to every call."""
-        seen, D = self._centred
-        if seen is not X:
-            rows = np.asarray(X, dtype=float)
-            D = rows - rows.mean(axis=0)
-            self._centred = (X, D)
-        return gauss_batch_stats(X, D, groups, n_groups)
+    def batch_parts(self, X, pair_of, cand, recv, M: int) -> tuple[np.ndarray, np.ndarray]:
+        """Negative log-likelihoods under their own batch fits, in closed form,
+        of each of the M nodes' rows and of each pair's: row i of X moves in
+        pair ``pair_of[i]``, which hands rows of node ``cand[j]`` to node
+        ``recv[j]``, and pair j's part covers those and node ``recv[j]``'s
+        rows. With k rows a fit's quadratic forms sum to kp, leaving
+        k/2 (p(log 2pi + 1) + log|Sigma|), from statistics centred at the
+        mean of X, which keeps their precision far from the origin.
+
+        0 for an empty group, and NaN where the closed form is not trusted
+        and the group needs an exact fit: at most p + 1 rows (a singular or
+        nearly singular covariance), or a Cholesky pivot at or below
+        ``_CLOSED_FORM_MIN_EIG`` times the largest raw second moment, where
+        the exact fit's round-off or jitter moves the log-determinant."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        (n, p), P = X.shape, len(cand)
+        nodes = np.concatenate([cand, recv])
+        if n and not 0 <= pair_of.min() <= pair_of.max() < P or P and not 0 <= nodes.min() <= nodes.max() < M:
+            raise ValueError("a pair names a node that is not there")
+        node_neg, pair_neg, xbar = np.empty(M), np.empty(P), X.mean(axis=0)
+        check_status(
+            kernel().gauss_closed_form(
+                p, n, M, P, buffer(X, np.float64, (n, p)), buffer(xbar, np.float64, (p,)), buffer(pair_of, np.int64, (n,)),
+                buffer(cand, np.int64, (P,)), buffer(recv, np.int64, (P,)), p * (_LOG_2PI + 1.0),
+                _CLOSED_FORM_MIN_EIG, buffer(node_neg, np.float64, (M,), out=True), buffer(pair_neg, np.float64, (P,), out=True),
+            )
+        )
+        return node_neg, pair_neg
 
     def validate(self, dataset):
         pass  # any finite real matrix is acceptable
@@ -298,15 +260,9 @@ class GaussianFamily:
         the ascending rows idx of X. Returns a table whose row j is
         ``gauss_batch`` of X[idx], or row k itself when idx is empty, and
         each group's ``loglik_members(...).sum()`` under it; both bitwise."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        out = table.take([k for k, _ in groups])
-        fit = [j for j, (_, idx) in enumerate(groups) if idx.size]
-        if fit:
-            mus, sigmas = zip(*(_moments(X[groups[j][1]]) for j in fit))
-            sigmas = np.array(sigmas)
-            sigmas = 0.5 * (sigmas + sigmas.transpose(0, 2, 1))
-            out.chols[fit], out.logdets[fit] = _factorize_stack(sigmas)  # jitters sigmas where needed
-            out.mus[fit], out.sigmas[fit] = mus, sigmas
+        X, out = np.ascontiguousarray(X, dtype=np.float64), table.take([k for k, _ in groups])
         ptr, parts = np.cumsum([0, *(len(idx) for _, idx in groups)]), np.empty(len(groups))
-        _loglik_groups(X, out, ptr, np.concatenate([np.empty(0, np.int64), *(idx for _, idx in groups)]), parts)
+        idx = np.concatenate([np.empty(0, np.int64), *(idx for _, idx in groups)])
+        _fit_nodes(out, X, idx, ptr)
+        _loglik_groups(X, out, ptr, idx, parts)
         return out, parts

@@ -118,26 +118,11 @@ def _mean_frequency(X: np.ndarray) -> np.ndarray | None:
     return (X[keep] / totals[keep, None]).mean(axis=0)
 
 
-def multinom_batch_stats(X: np.ndarray, coef: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """Sufficient statistics of ``multinom_batch_neg_loglik``, one row per
-    group of rows of X (``groups[i]`` is row i's group): the number of rows
-    with a count, the sum of their relative frequencies, the sum of the
-    counts and the sum of the log coefficients ``coef``. They add up over
-    disjoint groups."""
-    totals = X.sum(axis=1)
-    usable = totals > 0
-    scale = np.where(usable, totals, 1.0)
-    cols = [np.bincount(groups, usable, n_groups)]
-    cols += [np.bincount(groups, X[:, j] / scale, n_groups) for j in range(X.shape[1])]
-    cols += [np.bincount(groups, X[:, j], n_groups) for j in range(X.shape[1])]
-    cols.append(np.bincount(groups, coef, n_groups))
-    return np.column_stack(cols)
-
-
 def multinom_batch_neg_loglik(stats: np.ndarray, p: int) -> np.ndarray:
     """Negative log-likelihood of each group's rows under its own batch fit,
-    from ``multinom_batch_stats`` of p categories: −Σcoef − colsum·log θ,
-    with θ the mean relative frequency after ``MultinomParams``' floor and
+    from their statistics over p categories (see
+    ``MultinomialFamily.batch_parts``): −Σcoef − colsum·log θ, with θ the
+    mean relative frequency after ``MultinomParams``' floor and
     renormalisation. A group with no count scores 0 under any parameters,
     so the node's own parameters, which the deletion search keeps for it,
     are not needed."""
@@ -171,7 +156,6 @@ class MultinomialFamily:
     name = "multinomial"
     table = MultinomTable
     batch = staticmethod(multinom_batch)
-    batch_neg_loglik = staticmethod(multinom_batch_neg_loglik)
     df = staticmethod(multinom_df)
 
     def __init__(self):
@@ -213,8 +197,20 @@ class MultinomialFamily:
     def loglik_matrix(self, X, table: MultinomTable) -> np.ndarray:
         return multinom_loglik_matrix(X, table, self.log_coef(X))
 
-    def batch_stats(self, X, groups, n_groups) -> np.ndarray:
-        return multinom_batch_stats(np.asarray(X, dtype=float), self.log_coef(X), groups, n_groups)
+    def batch_parts(self, X, pair_of, cand, recv, M: int) -> tuple[np.ndarray, np.ndarray]:
+        """``GaussianFamily.batch_parts`` by ``multinom_batch_neg_loglik``,
+        never NaN. A group's statistics are its number of rows with a count,
+        the sums of their relative frequencies and of the counts, and the sum
+        of the log coefficients; a pair's are bincounts over its rows, a
+        node's the sum over its pairs."""
+        X, coef, P = np.asarray(X, dtype=float), self.log_coef(X), len(cand)
+        totals = X.sum(axis=1)
+        usable = totals > 0
+        freqs = X / np.where(usable, totals, 1.0)[:, None]
+        stats = np.column_stack([np.bincount(pair_of, col, P) for col in (usable, *freqs.T, *X.T, coef)])
+        nodes = np.zeros((M, stats.shape[1]))
+        np.add.at(nodes, cand, stats)
+        return multinom_batch_neg_loglik(nodes, X.shape[1]), multinom_batch_neg_loglik(nodes[recv] + stats, X.shape[1])
 
     def refit(self, X, table: MultinomTable, groups: list) -> tuple[MultinomTable, np.ndarray]:
         """``GaussianFamily.refit`` by ``multinom_batch``, floored all at

@@ -7,21 +7,21 @@ than rescoring every sample.
 
 Node deletion scores its candidates in two stages. The first estimates the
 MDL of deleting every node at once: each sample's destination if its node
-goes is one argmax over the matrix, and each node's and each (candidate,
-receiver) pair's sufficient statistics are bincounts, from which the family
-gives the neg-loglik of a batch fit in closed form (``batch_neg_loglik``).
-Parts the closed form cannot be trusted with, such as a Gaussian node with
-at most p+1 members, are fitted exactly, all in one grouped refit. The
-second stage rescores exactly only the candidates whose estimate is within
-``SHORTLIST_RTOL`` (relative) of the best estimate or of the current MDL,
-from one more grouped refit of every survivor they need, and adopts among
-them by the same rule as a full search. A grouped refit (``family.refit``)
-takes a list of (table row, ascending sample rows) groups and returns their
-batch refits as one table, with each group's log-likelihood. The exact
-scores are bitwise the ones ``mdl_score`` would report for the candidate
-maps, so the adopted map, its score and ties resolve as with an exact score
-for every candidate, provided each estimate is within the tolerance of its
-exact score.
+goes is one argmax over the matrix, and from each node's and each
+(candidate, receiver) pair's sufficient statistics the family gives the
+neg-loglik of their batch fits in closed form, in one call
+(``batch_parts``). Parts the closed form cannot be trusted with, such as a
+Gaussian node with at most p+1 members, are fitted exactly, all in one
+grouped refit. The second stage rescores exactly only the candidates whose
+estimate is within ``SHORTLIST_RTOL`` (relative) of the best estimate or of
+the current MDL, from one more grouped refit of every survivor they need,
+and adopts among them by the same rule as a full search. A grouped refit
+(``family.refit``) takes a list of (table row, ascending sample rows) groups
+and returns their batch refits as one table, with each group's
+log-likelihood. The exact scores are bitwise the ones ``mdl_score`` would
+report for the candidate maps, so the adopted map, its score and ties
+resolve as with an exact score for every candidate, provided each estimate
+is within the tolerance of its exact score.
 """
 
 from __future__ import annotations
@@ -205,18 +205,14 @@ class _DeletionSearch:
     def estimates(self) -> np.ndarray:
         """Estimated MDL total of deleting each candidate, by row.
 
-        Parts come from the family's closed form on sufficient statistics,
-        and from exact refits, all in one grouped call, where it returns
-        NaN. A node's own part is refitted only if some candidate leaves the
-        node unchanged, so every refit is one a full search would make too,
-        and is kept for the exact stage.
+        Parts come from the family's closed form (``batch_parts``), and
+        from exact refits, all in one grouped call, where it returns NaN. A
+        node's own part is refitted only if some candidate leaves the node
+        unchanged, so every refit is one a full search would make too, and
+        is kept for the exact stage.
         """
         M, family = self.M, self.family
-        pair_stats = family.batch_stats(self.X, self.pair_of, len(self.cand))
-        node_stats = np.zeros((M, pair_stats.shape[1]))
-        np.add.at(node_stats, self.cand, pair_stats)
-        node_neg = family.batch_neg_loglik(node_stats, self.data.p)
-        pair_neg = family.batch_neg_loglik(node_stats[self.recv] + pair_stats, self.data.p)
+        node_neg, pair_neg = family.batch_parts(self.X, self.pair_of, self.cand, self.recv, M)
 
         unchanged = (M - 1) - np.bincount(self.recv, minlength=M)  # candidates that leave each node as it is
         nodes = np.flatnonzero(np.isnan(node_neg)).tolist()

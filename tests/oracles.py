@@ -4,9 +4,11 @@ Everything here deliberately avoids the production code paths: dense
 inverses instead of Cholesky factors, exact integer factorials, explicit
 pair enumeration, naive per-sample summation. The exceptions are
 references that a production path must match bit for bit: the numpy
-Gaussian and multinomial training states and the Gaussian scoring, which
-take the compiled kernel's steps in its summation orders (sequential sums
-by ``np.cumsum``, no BLAS), so that they agree with it on every host.
+Gaussian and multinomial training states, the Gaussian scoring, and the
+Gaussian moments, Cholesky factorization with its jitter ladder and
+closed-form deletion estimates, which take the compiled kernel's steps in
+its summation orders (sequential sums by ``np.cumsum``, ``np.bincount`` and
+``np.add.at``, no BLAS), so that they agree with it on every host.
 ``stack`` and ``update`` are conveniences over the production node tables,
 and ``assert_refit_is_per_group`` checks the grouped refit against the
 per-group path.
@@ -41,6 +43,95 @@ def ordered_quad(D, L) -> np.ndarray:
         terms = np.concatenate([D[..., i : i + 1], -(L[..., i, :i] * W[..., :i])], axis=-1)
         W[..., i] = ordered_sum(terms) * (1.0 / L[..., i, i])
     return ordered_sum(W * W)
+
+
+def ordered_cholesky(A, min_pivot=0.0):
+    """The kernel's Cholesky factor of the symmetric matrix A, or None when a
+    pivot is not above ``min_pivot``: L_ij = (A_ij - L_i0 L_j0 - ... -
+    L_i,j-1 L_j,j-1) / L_jj below the diagonal and the root of that pivot on
+    it, subtracting in that order."""
+    p = len(A)
+    L = np.zeros_like(A)
+    for j in range(p):
+        for i in range(j, p):
+            s = ordered_sum(np.concatenate([A[i, j : j + 1], -(L[i, :j] * L[j, :j])]))
+            if i > j:
+                L[i, j] = s / L[j, j]
+            elif s > min_pivot:
+                L[j, j] = math.sqrt(s)
+            else:
+                return None
+    return L
+
+
+def ordered_log_det(L) -> float:
+    """2 (log L_00 + ... ), the log-diagonal summed ascending."""
+    return 2.0 * ordered_sum(np.log(np.diag(L)))
+
+
+def oracle_factorize(mu, sigma):
+    """The kernel's factorization with its jitter ladder: (rung, sigma, L,
+    log-det), rung None for a covariance that factorizes as it is and -1
+    for an exhausted ladder, whose other entries are then None. Rung r adds
+    ``_JITTER_STEPS[r]`` times trace / p to the diagonal, that scale taken
+    as 1 when not positive and raised to ``_JITTER_FLOOR`` max_i (Sigma_ii +
+    mu_i^2) when below it."""
+    from smlsom.gaussian import _JITTER_FLOOR, _JITTER_STEPS
+
+    L = ordered_cholesky(sigma)
+    if L is not None:
+        return None, sigma, L, ordered_log_det(L)
+    diag = np.diag(sigma).copy()
+    scale, bound = ordered_sum(diag) / len(diag), _JITTER_FLOOR * np.max(diag + mu * mu)
+    scale = 1.0 if scale <= 0.0 else max(scale, bound)
+    for rung, eps in enumerate(_JITTER_STEPS):
+        jittered = sigma.copy()
+        np.fill_diagonal(jittered, diag + eps * scale)
+        L = ordered_cholesky(jittered)
+        if L is not None:
+            return rung, jittered, L, ordered_log_det(L)
+    return -1, None, None, None
+
+
+def oracle_moments(X):
+    """The kernel's moments of the rows of X: running sums in row order of
+    x_i and x_i x_j, then mu = s / k and Sigma = S / k - mu mu^T."""
+    k = len(X)
+    mu = ordered_sum(X.T) / k
+    S = ordered_sum((X[:, :, None] * X[:, None, :]).transpose(1, 2, 0))
+    return mu, S / k - mu[:, None] * mu[None, :]
+
+
+def oracle_batch_parts(X, pair_of, cand, recv, M):
+    """``GaussianFamily.batch_parts`` in the kernel's orders: each pair's
+    count and sums of d = x - xbar and of d_i d_j, xbar the data mean
+    (``X.mean(axis=0)``), by ``np.bincount``, a node's by ``np.add.at``,
+    which add in index order from 0; then each part's closed form, trusted
+    when it has more than p + 1 rows and every pivot of ``ordered_cholesky``
+    exceeds ``_CLOSED_FORM_MIN_EIG`` times the largest raw second moment."""
+    from smlsom.gaussian import _CLOSED_FORM_MIN_EIG, _LOG_2PI
+
+    (n, p), P = X.shape, len(cand)
+    xbar = X.mean(axis=0)
+    D = X - xbar
+    cols = [np.bincount(pair_of, minlength=P).astype(float)]
+    cols += [np.bincount(pair_of, D[:, i], P) for i in range(p)]
+    cols += [np.bincount(pair_of, D[:, i] * D[:, j], P) for i in range(p) for j in range(p)]
+    pairs = np.column_stack(cols)
+    nodes = np.zeros((M, pairs.shape[1]))
+    np.add.at(nodes, cand, pairs)
+
+    def closed_form(st):
+        k, s, S = st[0], st[1 : 1 + p], st[1 + p :].reshape(p, p)
+        if k == 0:
+            return 0.0
+        raw = max(0.0, np.max((np.diag(S) + 2.0 * xbar * s) / k + xbar * xbar))
+        L = ordered_cholesky(S / k - (s / k)[:, None] * (s / k)[None, :], _CLOSED_FORM_MIN_EIG * raw)
+        if not k > p + 1 or L is None:
+            return np.nan
+        return 0.5 * k * (p * (_LOG_2PI + 1.0) + ordered_log_det(L))
+
+    return np.array([closed_form(st) for st in nodes]), np.array([closed_form(st) for st in nodes[recv] + pairs])
 
 
 def oracle_gauss_loglik_rows(X, theta) -> np.ndarray:

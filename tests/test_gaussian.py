@@ -37,6 +37,9 @@ from oracles import (
     OracleGaussTrainState,
     assert_refit_is_per_group,
     dense_gauss_loglik,
+    oracle_batch_parts,
+    oracle_factorize,
+    oracle_moments,
     oracle_gauss_loglik_rows,
     random_pd_matrix,
     scipy_gauss_loglik_rows,
@@ -218,8 +221,8 @@ class TestTrainState:
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_refresh_refactors_as_gauss_params_does(self, p):
-        # covariances as training leaves them, one of them rank one: the
-        # batched Cholesky fails, and every node takes the jitter ladder
+        # covariances as training leaves them, one of them rank one, which
+        # alone climbs the jitter ladder
         rng = np.random.default_rng(1800 + p)
         table = stack(FAMILY, self.params(rng, p, M=4))
         v = rng.normal(size=(p, 1))
@@ -336,7 +339,14 @@ class TestKernelBuild:
         lib = load_kernel(cache_dir=tmp_path)
         (built,) = tmp_path.iterdir()
         assert built.name.startswith("_kernel.")
-        for name in ("gauss_train_cycle", "multinom_train_cycle", "gauss_loglik_groups", "column_winners"):
+        for name in (
+            "gauss_train_cycle",
+            "multinom_train_cycle",
+            "gauss_loglik_groups",
+            "column_winners",
+            "gauss_fit_nodes",
+            "gauss_closed_form",
+        ):
             assert getattr(lib, name).restype is ctypes.c_int64
 
     def test_fits_call_every_entry_point_and_no_other(self, monkeypatch):
@@ -360,6 +370,23 @@ class TestKernelBuild:
         counts = rng.multinomial(15, rng.dirichlet(np.ones(4)), size=100).astype(float)
         smlsom_fit(Dataset(counts), FitConfig(family="multinomial", rows=2, cols=2, seed=0))
         assert called == set(_kernel._ENTRY_POINTS)
+
+    def test_a_build_removes_older_builds(self, tmp_path, monkeypatch):
+        # a second source builds into the same cache: the first library is
+        # removed but stays usable where it is loaded; what cannot be
+        # removed (here a directory) is skipped
+        cache = tmp_path / "cache"
+        old = load_kernel(cache_dir=cache)
+        (cache / "_kernel.0000000000000000.so").mkdir()
+        edited = tmp_path / "_kernel.c"
+        edited.write_bytes(_kernel._KERNEL_SOURCE.read_bytes() + b"\n/* edited */\n")
+        monkeypatch.setattr(_kernel, "_KERNEL_SOURCE", edited)
+        new = load_kernel(cache_dir=cache)
+        assert sorted(cache.iterdir()) == sorted([cache / "_kernel.0000000000000000.so", kernel_path(edited.read_bytes(), "cc", cache)])
+        ll, winners = np.array([[0.0, 2.0, 1.0], [1.0, 0.0, 2.0]]), np.empty(3, dtype=np.int64)
+        for lib in (old, new):
+            assert lib.column_winners(2, 3, ll.ctypes.data, None, winners.ctypes.data) == _kernel._KERNEL_OK
+            assert winners.tolist() == [1, 0, 1]
 
     def test_name_hashes_source_and_command(self, tmp_path):
         source = _kernel._KERNEL_SOURCE.read_bytes()
@@ -459,11 +486,11 @@ class TestGroupedRefit:
         assert_refit_is_per_group(FAMILY, X, table, groups)
 
     def test_group_past_the_jitter_ladder_raises(self):
-        # two rows far from the origin: the moments' round-off leaves a
-        # covariance no jitter step makes positive definite
+        # two rows whose second moments overflow: the covariance is NaN,
+        # which no jitter step makes positive definite
         rng = np.random.default_rng(920)
         for _ in range(100):
-            X = 1e9 + rng.normal(size=(2, 2)) * 1e-3
+            X = 1e200 * rng.normal(size=(2, 2))
             try:
                 gauss_batch(X)
             except SingularModelError:
@@ -477,10 +504,112 @@ class TestGroupedRefit:
 
     def test_rejects_rows_that_are_not_there(self):
         table = stack(FAMILY, [GaussParams(np.zeros(2), np.eye(2))])
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             FAMILY.refit(np.zeros((4, 2)), table, [(0, np.array([1, 4]))])
         with pytest.raises(ValueError):  # numpy would read it from the end, the kernel before the start
             FAMILY.refit(np.zeros((4, 2)), table, [(0, np.array([-1, 2]))])
+
+
+# three copies of one row, whose covariance is round-off alone: its trace
+# is round-off too, too small a scale for the jitter ladder on its own
+THREE_COPIES = np.repeat([[1.73394296, 1.58814453, 1.17188627, 0.31245556, 3.08392841]], 3, axis=0)
+
+
+class TestKernelFitsMatchOracle:
+    """The kernel's moments, its Cholesky factor with the jitter ladder and
+    its closed-form deletion estimates, bitwise against the numpy
+    references that take its steps in its orders."""
+
+    @staticmethod
+    def ladder_covariances(rng, p):
+        """A positive definite covariance, an all-zero one (scale 1), and
+        covariances with one eigenvalue about -t trace/p, which the first
+        rung above t factorizes: rungs 0, 1 and 2, then none."""
+        Q = np.linalg.qr(rng.normal(size=(p, p)))[0]
+        out = [random_pd_matrix(rng, p), np.zeros((p, p))]
+        for t in (1e-11, 1e-9, 1e-7, 1e-5):
+            A = (Q * np.r_[-t * max(p - 1, 1) / p, np.ones(p - 1)]) @ Q.T
+            out.append(0.5 * (A + A.T))
+        return out
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    def test_every_rung_of_the_ladder(self, p):
+        rng = np.random.default_rng(2000 + p)
+        sigmas = self.ladder_covariances(rng, p)
+        x = rng.normal(size=p)
+        sigmas.append(oracle_moments(np.repeat([x], 3, axis=0))[1])
+        mus = [*rng.normal(size=(len(sigmas) - 1, p)), x]
+        rungs, fitted = [], []
+        for mu, sigma in zip(mus, sigmas):
+            rung, *want = oracle_factorize(mu, sigma)
+            rungs.append(rung)
+            if rung == -1:
+                with pytest.raises(SingularModelError):
+                    GaussParams(mu, sigma)
+                table = stack(FAMILY, [GaussParams(mu, np.eye(p))] * 2)
+                table.sigmas[1] = sigma
+                with pytest.raises(SingularModelError):
+                    table.refresh()
+                continue
+            got = GaussParams(mu, sigma)
+            assert [a.tobytes() for a in (got.sigma, got._chol, np.float64(got.log_det))] == [
+                np.asarray(a).tobytes() for a in want
+            ]
+            fitted.append((mu, sigma, got))
+        assert {None, 0, 1, 2, -1} <= set(rungs)
+        table = stack(FAMILY, [GaussParams(mu, np.eye(p)) for mu, _, _ in fitted])
+        table.sigmas[:] = [sigma for _, sigma, _ in fitted]
+        table.refresh()  # each node on its own ladder
+        for k, (_, _, got) in enumerate(fitted):
+            assert table.sigmas[k].tobytes() == got.sigma.tobytes()
+            assert table.chols[k].tobytes() == got._chol.tobytes()
+            assert table.logdets[k] == got.log_det
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    def test_refit_moments(self, p):
+        rng = np.random.default_rng(2100 + p)
+        X = rng.normal(size=(300, p)) * rng.uniform(0.5, 3.0, size=p) + rng.uniform(-3, 3, size=p)
+        X[250:260] = X[240]  # duplicate rows
+        table = stack(FAMILY, [GaussParams(rng.normal(size=p), random_pd_matrix(rng, p)) for _ in range(3)])
+        groups = [*gauss_groups(rng, len(X), p), (1, np.r_[240, 250:260]), (2, np.r_[240, 250, 251])]
+        out, _ = FAMILY.refit(X, table, groups)
+        for j, (k, idx) in enumerate(groups):
+            if idx.size:
+                mu, sigma = oracle_moments(X[idx])
+                want = [mu, *oracle_factorize(mu, sigma)[1:]]
+            else:  # an empty group keeps its row
+                want = [table.mus[k], table.sigmas[k], table.chols[k], table.logdets[k]]
+            got = [out.mus[j], out.sigmas[j], out.chols[j], out.logdets[j]]
+            assert [a.tobytes() for a in got] == [np.asarray(a).tobytes() for a in want], j
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
+    def test_closed_form_estimates(self, p):
+        # nodes of many rows, of p + 1 rows, of one row repeated, and of none;
+        # every row moves to another node, far from the origin
+        rng = np.random.default_rng(2200 + p)
+        sizes = [200, 150, p + 1, 20, 29, 0]
+        X = rng.normal(size=(sum(sizes), p)) * rng.uniform(0.5, 3.0, size=p) + rng.uniform(-1e3, 1e3, size=p)
+        own = np.repeat(np.arange(len(sizes)), sizes)
+        X[own == 3] = X[np.flatnonzero(own == 3)[0]]
+        M = len(sizes)
+        to = (own + rng.integers(1, M, size=len(own))) % M
+        keys, pair_of = np.unique(own * M + to, return_inverse=True)
+        cand, recv = np.divmod(keys, M)
+        got = FAMILY.batch_parts(X, pair_of, cand, recv, M)
+        want = oracle_batch_parts(X, pair_of, cand, recv, M)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        node_neg, pair_neg = got
+        assert node_neg[-1] == 0.0 and np.isnan(node_neg[2:4]).all() and np.isfinite(node_neg[:2]).all()
+        assert np.isnan(pair_neg).any() and np.isfinite(pair_neg).any()
+
+    def test_three_copies_of_one_row_factorize(self):
+        theta = gauss_batch(THREE_COPIES)
+        assert np.isfinite(theta.log_det) and np.all(np.diag(theta._chol) > 0)
+        rng = np.random.default_rng(2300)
+        X = np.vstack([THREE_COPIES, rng.normal(size=(20, 5))])
+        table = stack(FAMILY, [GaussParams(np.zeros(5), np.eye(5))] * 2)
+        assert_refit_is_per_group(FAMILY, X, table, [(0, np.arange(3)), (1, np.arange(23))])
 
 
 class TestDf:

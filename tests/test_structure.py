@@ -450,6 +450,17 @@ class TestTryDeleteNodeMatchesOracle:
         result = _assert_matches_oracle(data, g, assignment, params, MULTINOM)
         assert result.deleted == 2
 
+    def test_gaussian_node_of_three_identical_rows(self):
+        # node 4, empty in _gauss_case, holds three copies of one row, whose
+        # covariance is round-off alone; every candidate but node 4's own
+        # deletion refits it
+        rng = np.random.default_rng(45)
+        data, g, assignment, params = _gauss_case(rng, 5, split=False)
+        x = [1.73394296, 1.58814453, 1.17188627, 0.31245556, 3.08392841]
+        data = Dataset(np.vstack([data.values, [x, x, x]]))
+        assignment = Assignment(np.r_[assignment.m, 4, 4, 4])
+        _assert_matches_oracle(data, g, assignment, params, GAUSS)
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_random_gaussian_maps(self, p):
         rng = np.random.default_rng(60 + p)
